@@ -23,14 +23,15 @@
 // # Caching and the concurrent read path
 //
 // The §3.6 provider chain — an in-memory cache in front of remote object
-// storage — is built for many concurrent readers. WithLRUCache (or
-// WithCache for explicit sizing) chains a cache whose entries are spread
-// over mutex-striped shards, so parallel lookups do not serialize behind a
+// storage — is built for many concurrent readers. WithLRUCache chains a
+// cache whose entries are spread over mutex-striped shards (their count
+// derived from the capacity), so parallel lookups do not serialize behind a
 // single lock, and whose misses are read-coalesced: however many readers
 // miss on the same object at the same moment, exactly one Get reaches the
 // origin and every waiter shares its result. Stats (per-shard hits, misses,
 // resident bytes, plus the coalesced-fetch count) are available from the
-// concrete *storage.LRU via WithCache.
+// *storage.LRU it returns. The RAM cache, the decoded-chunk NodeCache and
+// the local-disk tier are all built on one sharded LRU, storage.Sharded.
 //
 // The dataloader layers the same idea over decoded chunks: its chunk cache
 // coalesces concurrent fetch+decode of one chunk across workers, and a
@@ -362,40 +363,17 @@ func NewS3CrossRegionSimStore() Provider {
 // NewMinIOSimStore simulates MinIO on a local network (Fig 8 setup).
 func NewMinIOSimStore() Provider { return storage.NewSimObjectStore(simnet.MinIOLAN()) }
 
-// WithLRUCache chains an in-memory LRU cache of the given byte capacity in
-// front of a slower provider (§3.6). The cache is sharded and
-// read-coalescing; see WithCache to control the shard count or to keep the
-// concrete type for stats.
-func WithLRUCache(origin Provider, capacity int64) Provider {
-	return storage.NewLRU(origin, capacity)
-}
-
-// CacheOptions sizes the provider-chain cache.
-type CacheOptions struct {
-	// Capacity is the total byte budget, split evenly across shards.
-	Capacity int64
-	// Shards is the number of mutex-striped shards. Zero picks a count
-	// scaled to Capacity (one shard per 16MB, at most
-	// storage.DefaultShards) so per-shard capacity always fits full-size
-	// chunks. One shard gives globally exact LRU ordering; more shards
-	// trade eviction precision for lookup concurrency, and objects larger
-	// than Capacity/Shards bypass the cache.
-	Shards int
-}
-
 // CacheStats reports cache counters: aggregate and per-shard hits, misses,
 // and resident bytes, plus how many fetches were coalesced into another
 // reader's in-flight origin Get.
 type CacheStats = storage.Stats
 
-// WithCache chains a sharded, read-coalescing in-memory cache in front of a
-// slower provider. The returned *storage.LRU implements Provider and
-// exposes Stats().
-func WithCache(origin Provider, opts CacheOptions) *storage.LRU {
-	if opts.Shards <= 0 {
-		return storage.NewLRU(origin, opts.Capacity)
-	}
-	return storage.NewShardedLRU(origin, opts.Capacity, opts.Shards)
+// WithLRUCache chains an in-memory LRU cache of the given byte capacity in
+// front of a slower provider (§3.6). The cache is sharded (the shard count
+// follows from capacity) and read-coalescing; the returned *storage.LRU
+// implements Provider and exposes Stats().
+func WithLRUCache(origin Provider, capacity int64) *storage.LRU {
+	return storage.NewLRU(origin, capacity)
 }
 
 // RetryOptions configures the resilience layer of the provider chain:
@@ -407,7 +385,7 @@ type RetryOptions = storage.RetryOptions
 // errors marked storage.ErrTransient, or the wrapper's own per-attempt
 // timeout firing) are re-attempted under capped exponential backoff.
 // Context cancellation and missing keys are never retried. Stack it below
-// WithCache — cache over retry over origin — so a miss coalesced across N
+// WithLRUCache — cache over retry over origin — so a miss coalesced across N
 // readers is retried once for all of them, and the cache's Stats() then
 // reports the retry count.
 func WithRetry(origin Provider, opts RetryOptions) *storage.Retry {
@@ -420,8 +398,8 @@ type VerifyOptions = storage.VerifyOptions
 
 // WithVerify wraps a provider with CRC32C verify-on-read and self-healing
 // re-fetch. Digests are recorded on every Put and seeded from the dataset's
-// chunk checksum manifests automatically at Open. Stack it between WithCache
-// and WithRetry — cache over verify over retry over origin — so a poisoned
+// chunk checksum manifests automatically at Open. Stack it between
+// WithLRUCache and WithRetry — cache over verify over retry over origin — so a poisoned
 // transfer is detected before it enters the cache, healed with one re-fetch
 // for all coalesced waiters, and the cache's Stats() then reports
 // CorruptionsDetected/CorruptionsRepaired/Quarantined.
@@ -435,7 +413,7 @@ type DiskTierOptions = storage.DiskOptions
 // DiskTierStats reports a disk tier's counters: hits (with the warm-start
 // subset ledgered separately as WarmHits), misses, evictions, detected
 // corruptions, and the resident population. Also surfaced through the RAM
-// cache's CacheStats.Disk when the tier sits under a WithCache layer.
+// cache's CacheStats.Disk when the tier sits under a WithLRUCache layer.
 type DiskTierStats = storage.DiskStats
 
 // WithDiskTier chains a local-disk cache at dir between the in-memory cache
@@ -493,7 +471,8 @@ func NewNodeCache(budget int64) *NodeCache { return dataloader.NewNodeCache(budg
 // cache (decode inflates payloads and re-decoding is the costlier miss);
 // DiskBytes bounds the disk tier (zero = 4GB default, negative =
 // unbounded). The split is a derivation of defaults — callers needing
-// asymmetric tiers keep using WithCache/NewNodeCache/WithDiskTier directly.
+// asymmetric tiers keep using WithLRUCache/NewNodeCache/WithDiskTier
+// directly.
 type NodeBudget = storage.NodeBudget
 
 // DefaultNodeMemoryBytes is the memory budget assumed when

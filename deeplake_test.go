@@ -115,11 +115,11 @@ func TestPublicAPIOnSimulatedS3(t *testing.T) {
 	}
 }
 
-func TestWithCacheExposesShardedStats(t *testing.T) {
+func TestWithLRUCacheExposesStats(t *testing.T) {
 	ctx := context.Background()
 	s3 := NewS3SimStore()
 	buildQuickstart(t, s3, 16)
-	cached := WithCache(s3, CacheOptions{Capacity: 1 << 28, Shards: 4})
+	cached := WithLRUCache(s3, 1<<28)
 	ds, err := Open(ctx, cached)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +136,6 @@ func TestWithCacheExposesShardedStats(t *testing.T) {
 		t.Fatalf("rows = %d", rows)
 	}
 	var stats CacheStats = cached.Stats()
-	if len(stats.Shards) != 4 {
-		t.Fatalf("shard stats = %d entries, want 4", len(stats.Shards))
-	}
 	if stats.Misses == 0 || stats.UsedBytes == 0 {
 		t.Fatalf("stats = %+v, want traffic recorded", stats)
 	}

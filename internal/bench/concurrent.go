@@ -55,7 +55,7 @@ func ConcurrentReaders(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	for _, readers := range []int{1, 4, 16} {
-		cached := storage.NewShardedLRU(counting, 1<<30, storage.DefaultShards)
+		cached := storage.NewLRU(counting, 1<<30)
 		counting.Reset()
 
 		var (

@@ -50,7 +50,7 @@ func TQLScan(ctx context.Context, cfg Config) (*Result, error) {
 
 	const dataQuery = `SELECT labels FROM bench WHERE MEAN(images) >= 0`
 	openCold := func() (*core.Dataset, error) {
-		cached := storage.NewShardedLRU(counting, 1<<30, storage.DefaultShards)
+		cached := storage.NewLRU(counting, 1<<30)
 		ds, err := core.Open(ctx, cached)
 		if err != nil {
 			return nil, err

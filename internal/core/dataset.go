@@ -82,6 +82,15 @@ type Dataset struct {
 	// literally the same handle. Immutable after construction.
 	scope uint64
 
+	// rewrites counts, per chunk object key, the in-place rewrites made
+	// through this handle (SetAt rewrites a head chunk copy-on-write under
+	// its existing key). ChunkIdentity folds the count in, so a cache keyed
+	// by identity never serves bytes from before a rewrite. It lives on
+	// the handle because checkouts rebuild the tensors. Guarded by
+	// rewritesMu.
+	rewritesMu sync.Mutex
+	rewrites   map[string]uint64
+
 	// now supplies timestamps; replaceable in tests.
 	now func() time.Time
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/chunk"
@@ -271,15 +272,17 @@ func (t *Tensor) resolveChunkVersionsWith(ctx context.Context, headChunks []uint
 // Name returns the tensor name.
 func (t *Tensor) Name() string { return t.name }
 
-// ChunkIdentity returns the storage object key of a chunk —
-// versions/<vid>/tensors/<name>/chunks/<id> — which is the chunk's
-// commit-scoped identity: vid is the version directory that owns the bytes,
-// so the same chunk id on two branches (NextChunkID rides versioned meta
-// and can collide across them) yields two distinct identities, and a
-// checkout that rebinds the id to another version's bytes changes the
-// identity with it. Shared decoded-chunk caches use this (plus the
-// dataset's ScopeID) as their key. A chunk not yet resolved to a version —
-// a pending chunk still in the writer — is attributed to the current head.
+// ChunkIdentity returns the identity of a chunk's current bytes: its
+// storage object key — versions/<vid>/tensors/<name>/chunks/<id> — plus,
+// once this handle has rewritten the chunk in place, "#" and the rewrite
+// count. vid is the version directory that owns the bytes, so the same
+// chunk id on two branches (NextChunkID rides versioned meta and can
+// collide across them) yields two distinct identities, and a checkout that
+// rebinds the id to another version's bytes changes the identity with it;
+// the rewrite count changes it when SetAt rewrites a head chunk under the
+// same key. Shared decoded-chunk caches use this (plus the dataset's
+// ScopeID) as their key. A chunk not yet resolved to a version — a pending
+// chunk still in the writer — is attributed to the current head.
 func (t *Tensor) ChunkIdentity(chunkID uint64) string {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
@@ -289,7 +292,14 @@ func (t *Tensor) ChunkIdentity(chunkID uint64) string {
 	if !ok {
 		vid = t.ds.head
 	}
-	return chunkKey(vid, t.name, chunkID)
+	key := chunkKey(vid, t.name, chunkID)
+	t.ds.rewritesMu.Lock()
+	n := t.ds.rewrites[key]
+	t.ds.rewritesMu.Unlock()
+	if n > 0 {
+		key += "#" + strconv.FormatUint(n, 10)
+	}
+	return key
 }
 
 // Meta returns a copy of the tensor metadata.
@@ -477,6 +487,15 @@ func (t *Tensor) writeChunk(ctx context.Context, id uint64, blob []byte) error {
 	}
 	t.meta.Checksums[chunkName(id)] = storage.Checksum(blob)
 	key := chunkKey(t.ds.head, t.name, id)
+	if vid, ok := t.chunkVersion[id]; ok && vid == t.ds.head {
+		// An in-place rewrite: change the chunk's identity with its bytes.
+		t.ds.rewritesMu.Lock()
+		if t.ds.rewrites == nil {
+			t.ds.rewrites = make(map[string]uint64)
+		}
+		t.ds.rewrites[key]++
+		t.ds.rewritesMu.Unlock()
+	}
 	if fp := t.ds.flusher; fp != nil {
 		// The pipeline records the blob even when enqueue errors (sticky
 		// failure or cancelled backpressure wait): the bytes stay readable

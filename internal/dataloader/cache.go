@@ -1,7 +1,6 @@
 package dataloader
 
 import (
-	"container/list"
 	"context"
 	"strconv"
 	"sync"
@@ -21,18 +20,19 @@ import (
 // given a shared cache get a private one, which degrades to exactly the old
 // per-Loader behavior.
 //
-// The concurrency story is the same as storage.LRU's byte cache: the entry
-// table is split across mutex-striped shards keyed by an FNV-1a hash of the
-// chunk identity, and a singleflight layer collapses concurrent fetches of
-// one chunk — across workers, the readahead scheduler, and every sharing
-// Loader — into a single fetch+decode that everyone receives.
+// Entries live in a storage.Sharded cache, the same sharded LRU behind the
+// RAM and disk tiers of the provider chain: its singleflight layer collapses
+// concurrent fetches of one chunk — across workers, the readahead
+// scheduler, and every sharing Loader — into a single fetch+decode that
+// everyone receives.
 //
-// Entries are keyed by (dataset scope, commit-scoped chunk object key):
+// Entries are keyed by (dataset scope, commit-scoped chunk identity):
 // core.Dataset.ScopeID disambiguates dataset handles (two datasets sharing
 // a node cache can never serve each other's bytes even if their tensor
 // names and chunk ids collide), and core.Tensor.ChunkIdentity bakes in the
-// owning version directory, so the same chunk id on two branches — or
-// rebound across a checkout — is two distinct cache entries.
+// owning version directory and the handle's count of in-place rewrites, so
+// the same chunk id on two branches, rebound across a checkout, or
+// rewritten by SetAt is a distinct cache entry.
 //
 // Eviction is least-recently-used over a byte budget, with one contract on
 // top: chunks with outstanding planned jobs are pinned and never evicted,
@@ -48,10 +48,8 @@ import (
 // workers×queue-depth×chunk-size, the same working set the pipeline needs
 // resident anyway).
 type NodeCache struct {
-	flight storage.Flight[[]chunk.Sample]
-	shards []*cacheShard
-
-	hits, misses, coalesced, decodes, evictions atomic.Int64
+	cache   *storage.Sharded[[]chunk.Sample]
+	decodes atomic.Int64
 }
 
 // NodeCacheStats is a point-in-time copy of a NodeCache's node-level
@@ -68,8 +66,9 @@ type NodeCacheStats struct {
 	Decodes int64
 	// Evictions counts entries dropped to stay under the byte budget.
 	Evictions int64
-	// UsedBytes/Entries describe the resident population; Pinned counts
-	// entries currently protected by outstanding planned jobs.
+	// UsedBytes/Entries describe the resident population. Pinned counts
+	// the keys currently protected by outstanding planned jobs, whether or
+	// not their chunk is resident yet.
 	UsedBytes, Entries, Pinned int64
 }
 
@@ -77,48 +76,21 @@ type cacheKey struct {
 	// scope is the owning dataset handle's process-unique identity
 	// (core.Dataset.ScopeID).
 	scope uint64
-	// obj is the commit-scoped chunk object key
-	// (core.Tensor.ChunkIdentity): versions/<vid>/tensors/<name>/chunks/<id>.
+	// obj is the commit-scoped chunk identity (core.Tensor.ChunkIdentity).
 	obj string
 }
 
-func (k cacheKey) flightKey() string {
+// String is the cache's key for k.
+func (k cacheKey) String() string {
 	return strconv.FormatUint(k.scope, 36) + "\x00" + k.obj
 }
 
-type cacheEntry struct {
-	key     cacheKey
-	samples []chunk.Sample
-	bytes   int64
-}
-
-// cacheShard is one mutex stripe of the entry table.
-type cacheShard struct {
-	budget int64
-
-	mu      sync.Mutex
-	entries map[cacheKey]*list.Element
-	order   *list.List // front = most recently used
-	used    int64
-	// pins maps keys to their outstanding-job reference count. A pin may
-	// exist before its entry does (the feeder pins at enqueue time, the
-	// decode lands later) and survives the entry's eviction window: pinned
-	// entries are skipped by eviction.
-	pins map[cacheKey]int
-}
-
-// nodeCacheShardCount sizes the stripe count like storage.NewLRU does: one
-// shard per 32MB of budget (decoded chunks are a few to ~16MB, so a shard
-// always fits several), at most 16.
-func nodeCacheShardCount(budget int64) int {
-	shards := int(budget / (32 << 20))
-	if shards < 1 {
-		return 1
+func samplesBytes(samples []chunk.Sample) int64 {
+	var n int64
+	for _, s := range samples {
+		n += int64(len(s.Data))
 	}
-	if shards > 16 {
-		return 16
-	}
-	return shards
+	return n
 }
 
 // NewNodeCache builds a node-level decoded-chunk cache with the given byte
@@ -128,49 +100,11 @@ func NewNodeCache(budget int64) *NodeCache {
 	if budget <= 0 {
 		budget = 256 << 20
 	}
-	shards := nodeCacheShardCount(budget)
-	c := &NodeCache{shards: make([]*cacheShard, shards)}
-	per, rem := budget/int64(shards), budget%int64(shards)
-	for i := range c.shards {
-		b := per
-		if int64(i) < rem {
-			b++
-		}
-		c.shards[i] = &cacheShard{
-			budget:  b,
-			entries: map[cacheKey]*list.Element{},
-			order:   list.New(),
-			pins:    map[cacheKey]int{},
-		}
-	}
-	return c
+	return &NodeCache{cache: storage.NewSharded(budget, samplesBytes)}
 }
 
 // Budget returns the cache's total byte budget across shards.
-func (c *NodeCache) Budget() int64 {
-	var total int64
-	for _, s := range c.shards {
-		total += s.budget
-	}
-	return total
-}
-
-// shard maps a key to its stripe by FNV-1a hash of the object key (the
-// scope is folded in as well so distinct datasets spread independently).
-func (c *NodeCache) shard(key cacheKey) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= key.scope
-	h *= prime64
-	for i := 0; i < len(key.obj); i++ {
-		h ^= uint64(key.obj[i])
-		h *= prime64
-	}
-	return c.shards[h%uint64(len(c.shards))]
-}
+func (c *NodeCache) Budget() int64 { return c.cache.Capacity() }
 
 // cacheLedger is one Loader's private view of the shared cache's activity:
 // every counter increment lands both here and on the node-level NodeCache
@@ -187,132 +121,54 @@ type cacheLedger struct {
 // the counters.
 func (c *NodeCache) get(ctx context.Context, led *cacheLedger, scope uint64, t *core.Tensor, chunkID uint64) ([]chunk.Sample, error) {
 	key := cacheKey{scope: scope, obj: t.ChunkIdentity(chunkID)}
-	if samples, ok := c.lookup(key, led); ok {
+	samples, hit, coalesced, err := c.cache.GetOrFill(ctx, key.String(), func() ([]chunk.Sample, error) {
+		samples, err := t.ReadChunkSamples(ctx, chunkID)
+		if err != nil {
+			return nil, err
+		}
+		c.decodes.Add(1)
+		led.decodes.Add(1)
 		return samples, nil
-	}
-	samples, coalesced, err := c.flight.GetCoalesced(ctx, key.flightKey(),
-		func() ([]chunk.Sample, bool) { return c.peek(key) },
-		func() ([]chunk.Sample, error) {
-			samples, err := t.ReadChunkSamples(ctx, chunkID)
-			if err != nil {
-				return nil, err
-			}
-			c.decodes.Add(1)
-			led.decodes.Add(1)
-			c.admit(key, samples)
-			return samples, nil
-		})
-	if coalesced {
-		c.coalesced.Add(1)
+	})
+	switch {
+	case hit:
+		led.hits.Add(1)
+	case coalesced:
+		led.misses.Add(1)
 		led.coalesced.Add(1)
+	default:
+		led.misses.Add(1)
 	}
 	return samples, err
 }
 
-// lookup probes the cache and updates the hit/miss ledgers.
-func (c *NodeCache) lookup(key cacheKey, led *cacheLedger) ([]chunk.Sample, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		led.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	led.hits.Add(1)
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).samples, true
-}
+// admit and peek reach the entry table directly, bypassing fetch+decode.
+func (c *NodeCache) admit(key cacheKey, samples []chunk.Sample) { c.cache.Admit(key.String(), samples) }
 
-// peek is the singleflight leader's re-check: same probe, no ledger churn
-// (it is not a new lookup).
-func (c *NodeCache) peek(key cacheKey) ([]chunk.Sample, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).samples, true
-}
-
-func (c *NodeCache) admit(key cacheKey, samples []chunk.Sample) {
-	var bytes int64
-	for _, s := range samples {
-		bytes += int64(len(s.Data))
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		return
-	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, samples: samples, bytes: bytes})
-	s.used += bytes
-	// Evict least-recently-used UNPINNED entries. The just-admitted entry
-	// (front) is never evicted, pinned entries are skipped, and when
-	// nothing evictable remains the shard runs soft-over-budget rather
-	// than breaking the decode-once contract.
-	for s.used > s.budget && s.order.Len() > 1 {
-		el := s.order.Back()
-		for el != nil && el != s.order.Front() && s.pins[el.Value.(*cacheEntry).key] > 0 {
-			el = el.Prev()
-		}
-		if el == nil || el == s.order.Front() {
-			return
-		}
-		ent := el.Value.(*cacheEntry)
-		s.order.Remove(el)
-		delete(s.entries, ent.key)
-		s.used -= ent.bytes
-		c.evictions.Add(1)
-	}
-}
+func (c *NodeCache) peek(key cacheKey) ([]chunk.Sample, bool) { return c.cache.Peek(key.String()) }
 
 // pin protects key from eviction until a matching unpin; calls nest as a
 // reference count, one per outstanding planned job. Pinning a key with no
 // resident entry is valid (and the common case): the feeder pins at plan
 // time, before the decode lands.
-func (c *NodeCache) pin(key cacheKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.pins[key]++
-	s.mu.Unlock()
-}
+func (c *NodeCache) pin(key cacheKey) { c.cache.Pin(key.String()) }
 
 // unpin drops one pin reference of key.
-func (c *NodeCache) unpin(key cacheKey) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if n := s.pins[key]; n > 1 {
-		s.pins[key] = n - 1
-	} else {
-		delete(s.pins, key)
-	}
-	s.mu.Unlock()
-}
+func (c *NodeCache) unpin(key cacheKey) { c.cache.Unpin(key.String()) }
 
 // Stats reports the cache's node-level counters.
 func (c *NodeCache) Stats() NodeCacheStats {
-	st := NodeCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
+	st, _ := c.cache.Stats()
+	return NodeCacheStats{
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
 		Decodes:   c.decodes.Load(),
-		Evictions: c.evictions.Load(),
+		Evictions: st.Evictions,
+		UsedBytes: st.UsedBytes,
+		Entries:   int64(st.Entries),
+		Pinned:    int64(st.Pinned),
 	}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.UsedBytes += s.used
-		st.Entries += int64(len(s.entries))
-		st.Pinned += int64(len(s.pins))
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // pinLedger tracks the pins one Loader currently holds on a (possibly

@@ -227,3 +227,45 @@ func TestTightBudgetKeepsDecodeOnce(t *testing.T) {
 		t.Fatalf("%d pins leaked past pipeline shutdown", st.Pinned)
 	}
 }
+
+// TestSharedNodeCacheSeesInPlaceUpdate: SetAt rewrites a head-version chunk
+// copy-on-write under the same object key, so a long-lived shared cache
+// must key the chunk by its bytes too, or a new Loader keeps serving the
+// samples decoded before the update.
+func TestSharedNodeCacheSeesInPlaceUpdate(t *testing.T) {
+	ctx := context.Background()
+	ds := loaderDataset(t, storage.NewMemory(), 64)
+	node := NewNodeCache(0)
+	firstX := func(opts Options) float64 {
+		t.Helper()
+		opts.BatchSize, opts.Fields = 64, []string{"x"}
+		batches := drain(t, ForDataset(ds, opts))
+		v, _ := batches[0].Samples[0]["x"].At(0)
+		return v
+	}
+	if got := firstX(Options{Cache: node}); got != 0 {
+		t.Fatalf("before update: x[0] = %v, want 0", got)
+	}
+
+	arr, _ := tensor.FromFloat64s(tensor.Int32, []int{4}, []float64{999, 999, 999, 999})
+	x := ds.Tensor("x")
+	if err := x.SetAt(ctx, 0, arr); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := x.At(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := stored.At(0); v != 999 {
+		t.Fatalf("Tensor.At after update = %v, want 999", v)
+	}
+	if got := firstX(Options{}); got != 999 {
+		t.Fatalf("private-cache loader after update: x[0] = %v, want 999", got)
+	}
+	if got := firstX(Options{Cache: node}); got != 999 {
+		t.Fatalf("shared-cache loader after update: x[0] = %v, want 999 (stale decoded chunk served)", got)
+	}
+}

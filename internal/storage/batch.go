@@ -376,13 +376,9 @@ func (l *LRU) prefetchClaim(keys []string) ([]RangeReq, []func([]byte, error)) {
 	reqs := make([]RangeReq, 0, len(keys))
 	finishes := make([]func([]byte, error), 0, len(keys))
 	for _, key := range keys {
-		sh := l.shard(key)
-		if _, ok := sh.peek(key); ok {
-			continue // already cached: no wire traffic
-		}
-		finish, ok := l.flight.Lead(key)
+		finish, ok := l.cache.Claim(key)
 		if !ok {
-			continue // another caller is already fetching it
+			continue // cached or already being fetched: no wire traffic
 		}
 		reqs = append(reqs, RangeReq{Key: key, Offset: 0, Length: -1})
 		finishes = append(finishes, finish)
@@ -401,9 +397,8 @@ func (l *LRU) prefetchExec(ctx context.Context, reqs []RangeReq, finishes []func
 		if data != nil {
 			// Admit a private copy: ExecutePlans payload slices may alias a
 			// larger wire buffer shared with sibling parts.
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			l.admit(reqs[i].Key, cp)
+			cp := clone(data)
+			l.cache.Admit(reqs[i].Key, cp)
 			finishes[i](cp, nil)
 			fetched++
 			continue

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"io/fs"
 	"os"
@@ -75,24 +74,20 @@ type DiskStats struct {
 type Disk struct {
 	origin Provider
 	files  *FS
-	cap    int64
+	// index holds one diskEntry per file on disk, in one shard so eviction
+	// follows global recency; evicting an entry deletes its file.
+	index *Sharded[diskEntry]
 
 	mu      sync.Mutex
-	items   map[string]*list.Element // key -> *diskEntry element
-	order   *list.List               // front = most recently used
-	used    int64
 	digests map[string]uint32
 
 	hits        atomic.Int64
 	warmHits    atomic.Int64
 	misses      atomic.Int64
-	evictions   atomic.Int64
-	bypassed    atomic.Int64
 	corruptions atomic.Int64
 }
 
 type diskEntry struct {
-	key  string
 	size int64
 	// warm marks an entry discovered on disk at construction time — the
 	// previous process's population — rather than admitted by this one.
@@ -115,11 +110,10 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 	d := &Disk{
 		origin:  origin,
 		files:   files,
-		cap:     capacity,
-		items:   make(map[string]*list.Element),
-		order:   list.New(),
+		index:   newSharded(capacity, 1, func(e diskEntry) int64 { return e.size }),
 		digests: make(map[string]uint32),
 	}
+	d.index.onDrop = func(key string, _ diskEntry) { os.Remove(files.path(key)) }
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
@@ -128,11 +122,11 @@ func NewDisk(origin Provider, dir string, opts DiskOptions) (*Disk, error) {
 
 // Capacity is the tier's effective byte bound after defaulting: negative
 // means unbounded.
-func (d *Disk) Capacity() int64 { return d.cap }
+func (d *Disk) Capacity() int64 { return d.index.Capacity() }
 
-// scan indexes the directory's existing files as warm entries, oldest at
-// the LRU tail, then evicts down to capacity (the tier may have been
-// reopened smaller than it was written).
+// scan indexes the directory's existing files as warm entries, oldest first
+// so they end up at the LRU tail; indexing evicts down to capacity (the
+// tier may have been reopened smaller than it was written).
 func (d *Disk) scan() error {
 	type found struct {
 		key  string
@@ -163,31 +157,12 @@ func (d *Disk) scan() error {
 		return err
 	}
 	sort.Slice(warm, func(i, j int) bool { return warm[i].mod < warm[j].mod })
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, f := range warm {
-		d.items[f.key] = d.order.PushFront(&diskEntry{key: f.key, size: f.size, warm: true})
-		d.used += f.size
-	}
-	d.evictLocked()
-	return nil
-}
-
-// evictLocked deletes least-recently-used entries (and their files) until
-// the tier fits its capacity. Caller holds d.mu.
-func (d *Disk) evictLocked() {
-	for d.cap >= 0 && d.used > d.cap {
-		back := d.order.Back()
-		if back == nil {
-			return
+		if !d.index.Admit(f.key, diskEntry{size: f.size, warm: true}) {
+			os.Remove(d.files.path(f.key))
 		}
-		ent := back.Value.(*diskEntry)
-		d.order.Remove(back)
-		delete(d.items, ent.key)
-		d.used -= ent.size
-		d.evictions.Add(1)
-		os.Remove(d.files.path(ent.key))
 	}
+	return nil
 }
 
 // Origin returns the wrapped provider.
@@ -201,18 +176,16 @@ func (d *Disk) Root() string { return d.files.Root() }
 
 // Stats reports the tier's counters.
 func (d *Disk) Stats() DiskStats {
-	d.mu.Lock()
-	used, entries := d.used, int64(len(d.items))
-	d.mu.Unlock()
+	idx, _ := d.index.Stats()
 	return DiskStats{
 		Hits:                d.hits.Load(),
 		WarmHits:            d.warmHits.Load(),
 		Misses:              d.misses.Load(),
-		Evictions:           d.evictions.Load(),
-		Bypassed:            d.bypassed.Load(),
+		Evictions:           idx.Evictions,
+		Bypassed:            idx.Bypassed,
 		CorruptionsDetected: d.corruptions.Load(),
-		UsedBytes:           used,
-		Entries:             entries,
+		UsedBytes:           idx.UsedBytes,
+		Entries:             int64(idx.Entries),
 	}
 }
 
@@ -225,31 +198,10 @@ func (d *Disk) SeedDigest(key string, crc uint32) {
 	d.mu.Unlock()
 }
 
-// touch marks a cached key as used and reports whether it exists and came
-// from the warm-start population.
-func (d *Disk) touch(key string) (size int64, warm, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	el, found := d.items[key]
-	if !found {
-		return 0, false, false
-	}
-	d.order.MoveToFront(el)
-	ent := el.Value.(*diskEntry)
-	return ent.size, ent.warm, true
-}
-
-// forget drops key's index entry and file (used when the file is missing or
-// fails verification).
+// forget drops key's index entry and file (used when the file is missing,
+// fails verification, or was not admitted).
 func (d *Disk) forget(key string) {
-	d.mu.Lock()
-	if el, ok := d.items[key]; ok {
-		ent := el.Value.(*diskEntry)
-		d.order.Remove(el)
-		delete(d.items, key)
-		d.used -= ent.size
-	}
-	d.mu.Unlock()
+	d.index.Remove(key)
 	os.Remove(d.files.path(key))
 }
 
@@ -265,7 +217,7 @@ func (d *Disk) digest(key string) (uint32, bool) {
 // warm-start provenance. A missing, unreadable, or corrupt file is forgotten
 // (and deleted) so the caller falls through to the origin.
 func (d *Disk) readCached(ctx context.Context, key string) (data []byte, warm, ok bool) {
-	_, warm, ok = d.touch(key)
+	ent, ok := d.index.Peek(key)
 	if !ok {
 		return nil, false, false
 	}
@@ -279,35 +231,24 @@ func (d *Disk) readCached(ctx context.Context, key string) (data []byte, warm, o
 		d.forget(key)
 		return nil, false, false
 	}
-	return data, warm, true
+	return data, ent.warm, true
 }
 
 // admit writes data under key (atomically) and indexes it, evicting LRU
 // entries over capacity. The stored digest is recorded so later disk reads
-// verify. Objects larger than the whole capacity are bypassed.
+// verify. An object the tier does not store — larger than the whole
+// capacity, or whose file write failed — also drops any older copy, so the
+// key is never served stale.
 func (d *Disk) admit(ctx context.Context, key string, data []byte) {
-	if d.cap >= 0 && int64(len(data)) > d.cap {
-		d.bypassed.Add(1)
-		return
+	if err := d.files.Put(ctx, key, data); err == nil {
+		d.mu.Lock()
+		d.digests[key] = Checksum(data)
+		d.mu.Unlock()
+		if d.index.Admit(key, diskEntry{size: int64(len(data))}) {
+			return
+		}
 	}
-	if err := d.files.Put(ctx, key, data); err != nil {
-		return // cache population is best-effort; the caller has the bytes
-	}
-	crc := Checksum(data)
-	d.mu.Lock()
-	d.digests[key] = crc
-	if el, ok := d.items[key]; ok {
-		ent := el.Value.(*diskEntry)
-		d.used += int64(len(data)) - ent.size
-		ent.size = int64(len(data))
-		ent.warm = false
-		d.order.MoveToFront(el)
-	} else {
-		d.items[key] = d.order.PushFront(&diskEntry{key: key, size: int64(len(data))})
-		d.used += int64(len(data))
-	}
-	d.evictLocked()
-	d.mu.Unlock()
+	d.forget(key) // cache population is best-effort; the caller has the bytes
 }
 
 // Get implements Provider: disk first (verified), origin on miss, with the
@@ -337,7 +278,7 @@ func (d *Disk) Get(ctx context.Context, key string) ([]byte, error) {
 // reads are the streaming sub-chunk path — caching whole objects for them
 // would inflate the tier exactly like the RAM cache refuses to).
 func (d *Disk) GetRange(ctx context.Context, key string, offset, length int64) ([]byte, error) {
-	if _, _, ok := d.touch(key); ok {
+	if _, ok := d.index.Peek(key); ok {
 		if data, err := d.files.GetRange(ctx, key, offset, length); err == nil {
 			d.hits.Add(1)
 			return data, nil
@@ -417,7 +358,7 @@ func (d *Disk) Delete(ctx context.Context, key string) error {
 
 // Exists implements Provider.
 func (d *Disk) Exists(ctx context.Context, key string) (bool, error) {
-	if _, _, ok := d.touch(key); ok {
+	if _, ok := d.index.Peek(key); ok {
 		return true, nil
 	}
 	return d.origin.Exists(ctx, key)
@@ -431,8 +372,8 @@ func (d *Disk) List(ctx context.Context, prefix string) ([]string, error) {
 
 // Size implements Provider.
 func (d *Disk) Size(ctx context.Context, key string) (int64, error) {
-	if size, _, ok := d.touch(key); ok {
-		return size, nil
+	if ent, ok := d.index.Peek(key); ok {
+		return ent.size, nil
 	}
 	return d.origin.Size(ctx, key)
 }

@@ -244,33 +244,12 @@ func assertNoTempResidue(t *testing.T, dir string) {
 	}
 }
 
-// TestShardedLRUDistributesRemainder is the budget satellite's test: the
-// capacity division remainder is spread over the leading shards instead of
-// silently dropped.
-func TestShardedLRUDistributesRemainder(t *testing.T) {
-	l := NewShardedLRU(NewMemory(), 4099, 8)
-	var total int64
-	for i, s := range l.shards {
-		total += s.capacity
-		want := int64(512)
-		if i < 3 { // 4099 = 8*512 + 3
-			want = 513
-		}
-		if s.capacity != want {
-			t.Fatalf("shard %d capacity = %d, want %d", i, s.capacity, want)
-		}
-	}
-	if total != 4099 {
-		t.Fatalf("shard capacities sum to %d, want the full 4099", total)
-	}
-}
-
 // TestLRUBypassSurfacedInStats: objects too large for their shard used to
 // bypass the cache with no signal; both the Put and the Get-fill paths must
 // now count the bypass.
 func TestLRUBypassSurfacedInStats(t *testing.T) {
 	ctx := context.Background()
-	l := NewShardedLRU(NewMemory(), 64, 1)
+	l := newShardedLRU(NewMemory(), 64, 1)
 	if err := l.Put(ctx, "big-put", make([]byte, 128)); err != nil {
 		t.Fatal(err)
 	}

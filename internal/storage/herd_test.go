@@ -44,7 +44,7 @@ func TestJitteredHerdOnHotPrefix(t *testing.T) {
 	for key, data := range payloads {
 		verify.SeedDigest(key, Checksum(data))
 	}
-	cache := NewShardedLRU(verify, 1<<20, 1)
+	cache := newShardedLRU(verify, 1<<20, 1)
 
 	const herd = 64
 	var wg sync.WaitGroup

@@ -177,7 +177,7 @@ func TestShardedLRUTable(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 16, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			origin := NewCounting(NewMemory())
-			cache := NewShardedLRU(origin, 1<<20, shards)
+			cache := newShardedLRU(origin, 1<<20, shards)
 			if cache.NumShards() != shards {
 				t.Fatalf("NumShards = %d", cache.NumShards())
 			}
@@ -377,7 +377,7 @@ func TestLRUFollowerSurvivesLeaderCancellation(t *testing.T) {
 func TestShardedLRUEvictionBounded(t *testing.T) {
 	ctx := context.Background()
 	const capacity, shards = 4096, 8
-	cache := NewShardedLRU(NewMemory(), capacity, shards)
+	cache := newShardedLRU(NewMemory(), capacity, shards)
 	for i := 0; i < 500; i++ {
 		if err := cache.Put(ctx, fmt.Sprintf("obj%d", i), make([]byte, 100)); err != nil {
 			t.Fatal(err)
@@ -459,7 +459,7 @@ func TestShardedLRUStress(t *testing.T) {
 		}
 	}
 	origin.Reset()
-	cache := NewShardedLRU(origin, 1<<20, 8)
+	cache := newShardedLRU(origin, 1<<20, 8)
 
 	const goroutines, rounds = 32, 200
 	var wg sync.WaitGroup

@@ -147,7 +147,7 @@ func TestLRUHitsAndEviction(t *testing.T) {
 	ctx := context.Background()
 	origin := NewCounting(NewMemory())
 	// One shard: globally exact LRU ordering makes eviction deterministic.
-	cache := NewShardedLRU(origin, 100, 1)
+	cache := newShardedLRU(origin, 100, 1)
 
 	if err := cache.Put(ctx, "a", make([]byte, 40)); err != nil {
 		t.Fatal(err)

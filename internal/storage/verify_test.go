@@ -196,7 +196,7 @@ func TestVerifyUnderLRUCoalescesHeal(t *testing.T) {
 	counting := NewCounting(faulty)
 	v := NewVerify(counting, VerifyOptions{})
 	v.SeedDigest("hot", Checksum(payload))
-	cache := NewShardedLRU(v, 1<<20, 1)
+	cache := newShardedLRU(v, 1<<20, 1)
 
 	const readers = 16
 	errs := make(chan error, readers)
@@ -256,7 +256,7 @@ func TestEvictWalksChain(t *testing.T) {
 	ctx := context.Background()
 	mem := NewMemory()
 	putObj(t, mem, "k", []byte("v1"))
-	cache := NewShardedLRU(NewCounting(mem), 1<<20, 1)
+	cache := newShardedLRU(NewCounting(mem), 1<<20, 1)
 	if _, err := cache.Get(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestStripPrefetchCoalescesAcrossPartitions(t *testing.T) {
 	count := storage.NewCounting(storage.NewMemory())
 	scanDataset(t, count, 96, []int{8})
 	openCold := func() *core.Dataset {
-		ds, err := core.Open(ctx, storage.NewShardedLRU(count, 1<<30, 1))
+		ds, err := core.Open(ctx, storage.NewLRU(count, 1<<30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestStripPrefetchCoalescesAcrossPartitions(t *testing.T) {
 // of them — every one counts as skipped, not silently dropped.
 func TestScanStatsCountSkippedPrefetch(t *testing.T) {
 	ctx := context.Background()
-	ds, err := core.Open(ctx, storage.NewShardedLRU(func() storage.Provider {
+	ds, err := core.Open(ctx, storage.NewLRU(func() storage.Provider {
 		mem := storage.NewMemory()
 		scanDataset(t, mem, 60, []int{8})
 		return mem
-	}(), 1<<30, 1))
+	}(), 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestStripWidthOne(t *testing.T) {
 	ctx := context.Background()
 	mem := storage.NewMemory()
 	scanDataset(t, mem, 60, []int{8})
-	ds, err := core.Open(ctx, storage.NewShardedLRU(mem, 1<<30, 1))
+	ds, err := core.Open(ctx, storage.NewLRU(mem, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
