@@ -194,11 +194,13 @@ func DecodeDirectory(raw []byte) (*Directory, error) {
 		return nil, err
 	}
 	dir := raw[headerSize : headerSize+dirBytes]
-	d := &Directory{Offsets: make([]uint64, 0, n+1), Shapes: make([][]int, 0, n)}
+	// Check the claimed count against the directory before sizing anything
+	// by it: a garbled header can claim billions of samples.
 	need := (n + 1) * 8
 	if len(dir) < need {
 		return nil, corruptf("directory holds %d bytes, %d samples need %d", len(dir), n, need)
 	}
+	d := &Directory{Offsets: make([]uint64, 0, n+1), Shapes: make([][]int, 0, n)}
 	for i := 0; i <= n; i++ {
 		d.Offsets = append(d.Offsets, binary.LittleEndian.Uint64(dir[i*8:]))
 	}
@@ -249,17 +251,9 @@ func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, dirBytes, version, err := parseHeader(raw)
+	_, _, data, err := sections(raw)
 	if err != nil {
 		return nil, err
-	}
-	data := raw[dataStart(dirBytes):]
-	if version >= 2 {
-		// The version-2 trailer sits after the data section.
-		if len(data) < footerSize {
-			return nil, corruptf("blob too short for the version-2 footer")
-		}
-		data = data[:len(data)-footerSize]
 	}
 	n := d.NumSamples()
 	if n > 0 && d.Offsets[n] > uint64(len(data)) {
@@ -273,6 +267,72 @@ func DecodeAppend(raw []byte, dst []Sample) ([]Sample, error) {
 		})
 	}
 	return dst, nil
+}
+
+// sections splits a full chunk blob into its claimed sample count, its
+// directory bytes and its data section, without the version-2 trailer.
+func sections(raw []byte) (n int, dir, data []byte, err error) {
+	n, dirBytes, version, err := parseHeader(raw)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	dir = raw[headerSize:dataStart(dirBytes)]
+	data = raw[dataStart(dirBytes):]
+	if version >= 2 {
+		// The version-2 trailer sits after the data section.
+		if len(data) < footerSize {
+			return 0, nil, nil, corruptf("blob too short for the version-2 footer")
+		}
+		data = data[:len(data)-footerSize]
+	}
+	return n, dir, data, nil
+}
+
+// SampleAt returns sample i of a full chunk blob at the cost of one sample:
+// it validates the header and the footer bounds, reads offsets i and i+1,
+// and walks the shape records up to i without allocating. Only the returned
+// shape is allocated; Data aliases raw. On every blob Decode accepts it
+// returns Decode(raw)[i]. Malformed bytes it touches give an error wrapping
+// ErrCorrupt; an out-of-range i gives a plain error. Like Decode it does not
+// check the footer CRC (see Verify).
+func SampleAt(raw []byte, i int) (Sample, error) {
+	n, dir, data, err := sections(raw)
+	if err != nil {
+		return Sample{}, err
+	}
+	need := (n + 1) * 8
+	if len(dir) < need {
+		return Sample{}, corruptf("directory holds %d bytes, %d samples need %d", len(dir), n, need)
+	}
+	if i < 0 || i >= n {
+		return Sample{}, fmt.Errorf("chunk: sample %d out of range (%d samples)", i, n)
+	}
+	lo := binary.LittleEndian.Uint64(dir[i*8:])
+	hi := binary.LittleEndian.Uint64(dir[(i+1)*8:])
+	if lo > hi || hi > uint64(len(data)) {
+		return Sample{}, corruptf("sample %d spans [%d, %d) of a %d-byte data section", i, lo, hi, len(data))
+	}
+	p := need
+	for j := 0; j < i; j++ {
+		if p >= len(dir) {
+			return Sample{}, corruptf("directory truncated at shape %d of %d", j, n)
+		}
+		p += 1 + 4*int(dir[p])
+	}
+	if p >= len(dir) {
+		return Sample{}, corruptf("directory truncated at shape %d of %d", i, n)
+	}
+	nd := int(dir[p])
+	p++
+	if p+nd*4 > len(dir) {
+		return Sample{}, corruptf("directory truncated inside rank-%d shape %d", nd, i)
+	}
+	shape := make([]int, nd)
+	for j := range shape {
+		shape[j] = int(binary.LittleEndian.Uint32(dir[p:]))
+		p += 4
+	}
+	return Sample{Shape: shape, Data: data[lo:hi]}, nil
 }
 
 // SampleRange returns the absolute byte range of sample i inside a chunk

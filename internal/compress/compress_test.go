@@ -255,3 +255,70 @@ func TestSampleRegistry(t *testing.T) {
 		t.Fatal("unknown sample codec should error")
 	}
 }
+
+// TestLZ4MatchCopyCases decodes hand-built blocks that pin each match-copy
+// regime — offset 1 (RLE), offset < matchLen (overlapping, the pattern
+// repeats several times) and offset >= matchLen (a plain back-reference) —
+// against a byte-at-a-time reference expansion, then round-trips inputs
+// that make the compressor emit the same kinds of match.
+func TestLZ4MatchCopyCases(t *testing.T) {
+	cases := []struct {
+		name     string
+		literals []byte
+		offset   int
+		matchLen int
+	}{
+		{"rle", []byte("a"), 1, 1000},
+		{"rle-min-match", []byte("z"), 1, lz4MinMatch},
+		{"overlap-period-3", []byte("abc"), 3, 50},
+		{"overlap-period-7", []byte("0123456"), 7, 8},
+		{"offset-equals-match", []byte("ABCDEFGH"), 8, 8},
+		{"offset-beyond-match", []byte("the quick brown fox"), 19, 5},
+		{"offset-mid-window", []byte("0123456789abcdef"), 12, 6},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tail := []byte("END!!")
+			want := append([]byte(nil), c.literals...)
+			for k := 0; k < c.matchLen; k++ {
+				want = append(want, want[len(want)-c.offset])
+			}
+			want = append(want, tail...)
+
+			block := lz4EmitSequence(nil, c.literals, c.offset, c.matchLen)
+			block = lz4EmitLiterals(block, tail)
+			got, err := lz4DecompressBlock(block, len(want), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("decoded %q, want %q", got, want)
+			}
+			// A scratch buffer with room to spare must give the same bytes.
+			got, err = lz4DecompressBlock(block, len(want), make([]byte, 3, 4*len(want)))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("decode into scratch = %q, %v; want %q", got, err, want)
+			}
+		})
+	}
+
+	c, _ := ByName("lz4")
+	text := strings.Repeat("0123456789abcdefghij", 4)
+	for name, src := range map[string][]byte{
+		"rle":     bytes.Repeat([]byte{0x5A}, 70000),
+		"overlap": bytes.Repeat([]byte("xyz"), 5000),
+		"far":     []byte(text + strings.Repeat("\x00", 300) + text),
+	} {
+		enc, err := c.Compress(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc[0] != lz4Block {
+			t.Fatalf("%s: input stored raw; the match path was not exercised", name)
+		}
+		dec, err := c.Decompress(enc)
+		if err != nil || !bytes.Equal(dec, src) {
+			t.Fatalf("%s: round trip failed: %v", name, err)
+		}
+	}
+}

@@ -227,10 +227,16 @@ func lz4DecompressBlock(src []byte, size int, scratch []byte) ([]byte, error) {
 			s = ns
 		}
 		matchLen += lz4MinMatch
-		// Overlapping copy must proceed byte-wise.
+		// The match repeats the offset-byte pattern ending at dst's tail.
+		// An overlapping match (offset < matchLen) is copied in runs from
+		// start: each run is everything written since start, a whole number
+		// of periods, so the run length doubles and an RLE match of n bytes
+		// takes log2(n) appends rather than n.
 		start := len(dst) - offset
-		for k := 0; k < matchLen; k++ {
-			dst = append(dst, dst[start+k])
+		for matchLen > 0 {
+			run := min(matchLen, len(dst)-start)
+			dst = append(dst, dst[start:start+run]...)
+			matchLen -= run
 		}
 	}
 	if len(dst) != size {

@@ -13,6 +13,11 @@ import (
 // At returns sample idx as an array. Sequence rows come back stacked when
 // items share a shape (use SequenceAt otherwise); link samples come back as
 // the stored URL bytes (use view.Resolve to fetch the target).
+//
+// A point read costs O(one sample) in decode work and allocations: it
+// fetches the sample's chunk (a cache hit when warm), checks its footer CRC,
+// and decodes only this sample, never materialising the chunk's others.
+// Scans over many rows should use ScanReader, which decodes each chunk once.
 func (t *Tensor) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
 	t.ds.mu.RLock()
 	defer t.ds.mu.RUnlock()
@@ -45,7 +50,9 @@ func (t *Tensor) itemAt(ctx context.Context, idx uint64) (*tensor.NDArray, error
 }
 
 // storedSample fetches the encoded bytes + shape of flat sample idx, from
-// the pending write buffer or from its chunk.
+// the pending write buffer or from its chunk. Only sample idx is decoded
+// out of the chunk's directory; the chunk itself is still fetched and its
+// footer CRC checked (and healed once) by readChunk.
 func (t *Tensor) storedSample(ctx context.Context, idx uint64) (chunk.Sample, error) {
 	chunkID, local, err := t.chunkEnc.Lookup(idx)
 	if err != nil {
@@ -61,14 +68,11 @@ func (t *Tensor) storedSample(ctx context.Context, idx uint64) (chunk.Sample, er
 	if err != nil {
 		return chunk.Sample{}, err
 	}
-	samples, err := chunk.Decode(raw)
+	s, err := chunk.SampleAt(raw, local)
 	if err != nil {
-		return chunk.Sample{}, err
+		return chunk.Sample{}, fmt.Errorf("core: sample %d of chunk %d: %w", local, chunkID, err)
 	}
-	if local >= len(samples) {
-		return chunk.Sample{}, fmt.Errorf("core: sample %d beyond chunk %d (%d samples)", local, chunkID, len(samples))
-	}
-	return samples[local], nil
+	return s, nil
 }
 
 // decodeSample turns a stored sample into an array.

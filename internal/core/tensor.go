@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -29,6 +30,8 @@ type Tensor struct {
 	name string
 	meta TensorMeta
 	spec tensor.HtypeSpec
+	// dtype is meta.Dtype parsed once when the handle is built.
+	dtype tensor.Dtype
 
 	mu sync.RWMutex
 
@@ -110,11 +113,13 @@ func newTensor(ds *Dataset, spec TensorSpec) (*Tensor, error) {
 // Callers still resolve codecs and (when loading) hydrate encoder/diff/chunk
 // state.
 func newTensorShell(ds *Dataset, name string, meta TensorMeta, hspec tensor.HtypeSpec) *Tensor {
+	dtype, _ := tensor.ParseDtype(meta.Dtype)
 	t := &Tensor{
 		ds:           ds,
 		name:         name,
 		meta:         meta,
 		spec:         hspec,
+		dtype:        dtype,
 		chunkEnc:     encoder.NewChunkEncoder(),
 		shapeEnc:     encoder.NewShapeEncoder(),
 		tileEnc:      encoder.NewTileEncoder(),
@@ -315,10 +320,7 @@ func (t *Tensor) Meta() TensorMeta {
 func (t *Tensor) Htype() tensor.HtypeSpec { return t.spec }
 
 // Dtype returns the element type.
-func (t *Tensor) Dtype() tensor.Dtype {
-	d, _ := tensor.ParseDtype(t.meta.Dtype)
-	return d
-}
+func (t *Tensor) Dtype() tensor.Dtype { return t.dtype }
 
 // Len returns the logical row count.
 func (t *Tensor) Len() uint64 {
@@ -432,7 +434,7 @@ func (t *Tensor) snapshotState() (tensorRootState, error) {
 	for id := range t.chunkSet {
 		ids = append(ids, id)
 	}
-	sortUint64s(ids)
+	slices.Sort(ids)
 	st.ChunkSet = chunkSetFile{Chunks: ids}
 	return st, nil
 }
@@ -588,14 +590,6 @@ func (t *Tensor) decodeChunkBlob(raw []byte) ([]byte, error) {
 		return nil, err
 	}
 	return blob, nil
-}
-
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func mustJSON(v any) []byte {

@@ -29,7 +29,10 @@ const (
 	Float64
 )
 
-var dtypeNames = map[Dtype]string{
+// dtypeNames and dtypeSizes are indexed by Dtype, so the element kernels
+// that ask for a size per element pay an index read, not a map hash. The
+// InvalidDtype slot is zero.
+var dtypeNames = [...]string{
 	Bool:    "bool",
 	UInt8:   "uint8",
 	UInt16:  "uint16",
@@ -43,7 +46,7 @@ var dtypeNames = map[Dtype]string{
 	Float64: "float64",
 }
 
-var dtypeSizes = map[Dtype]int{
+var dtypeSizes = [...]int{
 	Bool:    1,
 	UInt8:   1,
 	UInt16:  2,
@@ -59,22 +62,22 @@ var dtypeSizes = map[Dtype]int{
 
 // String returns the NumPy-style name.
 func (d Dtype) String() string {
-	if s, ok := dtypeNames[d]; ok {
-		return s
+	if d.Valid() {
+		return dtypeNames[d]
 	}
 	return fmt.Sprintf("dtype(%d)", uint8(d))
 }
 
-// Size returns the element size in bytes.
+// Size returns the element size in bytes, 0 for an unknown dtype.
 func (d Dtype) Size() int {
-	if s, ok := dtypeSizes[d]; ok {
-		return s
+	if int(d) < len(dtypeSizes) {
+		return dtypeSizes[d]
 	}
 	return 0
 }
 
 // Valid reports whether d is a known dtype.
-func (d Dtype) Valid() bool { _, ok := dtypeSizes[d]; return ok }
+func (d Dtype) Valid() bool { return d.Size() != 0 }
 
 // IsFloat reports whether d is a floating-point dtype.
 func (d Dtype) IsFloat() bool { return d == Float32 || d == Float64 }
@@ -91,8 +94,8 @@ func (d Dtype) IsInteger() bool {
 // ParseDtype resolves a NumPy-style dtype name.
 func ParseDtype(name string) (Dtype, error) {
 	for d, n := range dtypeNames {
-		if n == name {
-			return d, nil
+		if n == name && n != "" {
+			return Dtype(d), nil
 		}
 	}
 	return InvalidDtype, fmt.Errorf("tensor: unknown dtype %q", name)

@@ -36,6 +36,18 @@ func TestDtypeBasics(t *testing.T) {
 	if InvalidDtype.Valid() {
 		t.Error("InvalidDtype must not be valid")
 	}
+	// Past the end of the lookup tables: no panic, no size, no name.
+	for _, d := range []Dtype{InvalidDtype, Float64 + 1, 255} {
+		if d.Valid() || d.Size() != 0 {
+			t.Errorf("%d: Valid() = %v, Size() = %d; want false, 0", uint8(d), d.Valid(), d.Size())
+		}
+		if _, err := ParseDtype(d.String()); err == nil {
+			t.Errorf("ParseDtype(%q) accepted an unknown dtype", d.String())
+		}
+	}
+	if _, err := ParseDtype(""); err == nil {
+		t.Error("ParseDtype must reject the empty name")
+	}
 }
 
 func TestNewAndAccessors(t *testing.T) {
