@@ -73,7 +73,52 @@ func appendPointReadRows(t *testing.T, ds *Dataset, from, to int) {
 		if err := ds.Tensor("links").AppendLink(ctx, fmt.Sprintf("sim://bucket/object-%04d.jpg", i)); err != nil {
 			t.Fatal(err)
 		}
+		if err := ds.Tensor("tiled").Append(ctx, tiledRow(t, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Tensor("seq").AppendSequence(ctx, seqRow(t, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// pointReadTensors names every tensor of buildPointReadDataset.
+var pointReadTensors = []string{"scalars", "mixed", "images", "links", "tiled", "seq"}
+
+// tiledBounds holds a few dozen small samples per chunk and tiles anything
+// above 1KB.
+var tiledBounds = chunk.Bounds{Min: 256, Target: 512, Max: 1024}
+
+// patterned returns a uint8 array of the given shape filled from seed.
+func patterned(t *testing.T, seed int, shape ...int) *tensor.NDArray {
+	t.Helper()
+	data := make([]byte, prod(shape))
+	for j := range data {
+		data[j] = byte(seed*31 + j*7)
+	}
+	arr, err := tensor.FromBytes(tensor.UInt8, shape, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
+
+// tiledRow is row i of the "tiled" tensor: every 25th row is a 48x48 sample
+// that the tensor's 1KB bound splits into tiles, the rest are 4x4.
+func tiledRow(t *testing.T, i int) *tensor.NDArray {
+	if i%25 == 7 {
+		return patterned(t, i, 48, 48)
+	}
+	return patterned(t, i, 4, 4)
+}
+
+// seqRow is row i of the "seq" tensor: 1 to 4 items of a row-wide shape.
+func seqRow(t *testing.T, i int) []*tensor.NDArray {
+	items := make([]*tensor.NDArray, i%4+1)
+	for k := range items {
+		items[k] = patterned(t, i*5+k, i%3+1, 5)
+	}
+	return items
 }
 
 func buildPointReadDataset(t *testing.T, store storage.Provider, rows int) *Dataset {
@@ -88,6 +133,8 @@ func buildPointReadDataset(t *testing.T, store storage.Provider, rows int) *Data
 		{Name: "mixed", Htype: "generic", Dtype: tensor.UInt8, ChunkCompression: "lz4", Bounds: oneChunkBounds},
 		{Name: "images", Htype: "image", Bounds: oneChunkBounds},
 		{Name: "links", Htype: "link[image]", Bounds: oneChunkBounds},
+		{Name: "tiled", Htype: "generic", Dtype: tensor.UInt8, ChunkCompression: "none", Bounds: tiledBounds},
+		{Name: "seq", Htype: "sequence[generic]", Dtype: tensor.UInt8, ChunkCompression: "lz4", Bounds: tiledBounds},
 	} {
 		if _, err := ds.CreateTensor(ctx, spec); err != nil {
 			t.Fatal(err)
@@ -101,29 +148,50 @@ func buildPointReadDataset(t *testing.T, store storage.Provider, rows int) *Data
 }
 
 // checkPointReads asserts that At, RawAt and LinkAt of every row agree byte
-// for byte with the row's entry in ReadChunkSamples of its chunk.
+// for byte with the row's entry in ReadChunkSamples of its chunk (for
+// write-buffered rows, in the pending buffer; for tiled and sequence rows,
+// with the appended arrays), then that one reused ScanReader agrees with
+// them in every read order.
 func checkPointReads(t *testing.T, ds *Dataset) {
 	t.Helper()
 	ctx := context.Background()
-	for _, name := range []string{"scalars", "mixed", "images", "links"} {
+	for _, name := range pointReadTensors {
 		x := ds.Tensor(name)
 		if n := x.Len(); x.NumChunks() >= int(n) {
 			t.Fatalf("%s: %d chunks for %d rows; the test needs many-sample chunks", name, x.NumChunks(), n)
 		}
+		if name == "tiled" && x.tileEnc.Len() == 0 || name == "seq" && x.NumChunks() < 2 {
+			t.Fatalf("%s: %d chunks, %d tiled samples; the test needs tiles and multi-chunk sequences", name, x.NumChunks(), x.tileEnc.Len())
+		}
 		chunks := map[uint64][]chunk.Sample{}
 		for row := uint64(0); row < x.Len(); row++ {
-			id, local, err := x.ChunkOf(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples, ok := chunks[id]
-			if !ok {
-				if samples, err = x.ReadChunkSamples(ctx, id); err != nil {
+			var want chunk.Sample
+			switch name {
+			case "tiled":
+				arr := tiledRow(t, int(row))
+				want = chunk.Sample{Shape: arr.Shape(), Data: arr.Bytes()}
+			case "seq":
+				arr, err := tensor.Stack(seqRow(t, int(row)))
+				if err != nil {
 					t.Fatal(err)
 				}
-				chunks[id] = samples
+				want = chunk.Sample{Shape: arr.Shape(), Data: arr.Bytes()}
+			default:
+				id, local, err := x.chunkEnc.Lookup(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples, ok := chunks[id]
+				if x.builder.Len() > 0 && id == x.pendingID {
+					samples = x.pendingSamples
+				} else if !ok {
+					if samples, err = x.ReadChunkSamples(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+					chunks[id] = samples
+				}
+				want = samples[local]
 			}
-			want := samples[local]
 
 			data, shape, err := x.RawAt(ctx, row)
 			if err != nil {
@@ -148,6 +216,52 @@ func checkPointReads(t *testing.T, ds *Dataset) {
 				if err != nil || url != string(want.Data) {
 					t.Fatalf("links: LinkAt(%d) = %q, %v; chunk holds %q", row, url, err, want.Data)
 				}
+			}
+		}
+		checkReusedReader(t, x)
+	}
+}
+
+// checkReusedReader reads every row of x through one ScanReader in
+// ascending, descending and seeded-random order and compares At and
+// StoredAt with the one-shot At and RawAt. The random order keeps switching
+// the reader between a chunk's first row (chunk.SampleAt) and a repeat
+// visit (the decoded directory).
+func checkReusedReader(t *testing.T, x *Tensor) {
+	t.Helper()
+	ctx := context.Background()
+	n := int(x.Len())
+	asc := make([]int, n)
+	desc := make([]int, n)
+	for i := range asc {
+		asc[i], desc[i] = i, n-1-i
+	}
+	orders := map[string][]int{"ascending": asc, "descending": desc, "random": rand.New(rand.NewSource(14)).Perm(n)}
+	r := x.NewScanReader()
+	for _, order := range []string{"ascending", "descending", "random"} {
+		for _, i := range orders[order] {
+			row := uint64(i)
+			want, err := x.At(ctx, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.At(ctx, row)
+			if err != nil {
+				t.Fatalf("%s %s: ScanReader.At(%d): %v", x.Name(), order, row, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || !slices.Equal(got.Shape(), want.Shape()) || got.Dtype() != want.Dtype() {
+				t.Fatalf("%s %s: ScanReader.At(%d) differs from Tensor.At", x.Name(), order, row)
+			}
+			wantData, wantShape, err := x.RawAt(ctx, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := r.StoredAt(ctx, row)
+			if err != nil {
+				t.Fatalf("%s %s: StoredAt(%d): %v", x.Name(), order, row, err)
+			}
+			if !bytes.Equal(s.Data, wantData) || !slices.Equal(s.Shape, wantShape) {
+				t.Fatalf("%s %s: StoredAt(%d) differs from RawAt", x.Name(), order, row)
 			}
 		}
 	}
@@ -191,7 +305,8 @@ func downgradeChunksToV1(t *testing.T, ds *Dataset, mem *storage.Memory) {
 // TestPointReadsMatchChunkSamples: a point read decodes one sample out of
 // its chunk, and must return exactly what decoding the whole chunk gives
 // for that row — for footer-carrying and legacy chunks, raw and JPEG
-// samples, link tensors and rows still in the write buffer.
+// samples, link tensors, tiled samples, sequence rows and rows still in the
+// write buffer — and a reused ScanReader must agree with it in any order.
 func TestPointReadsMatchChunkSamples(t *testing.T) {
 	ctx := context.Background()
 	const rows = 300
@@ -204,7 +319,7 @@ func TestPointReadsMatchChunkSamples(t *testing.T) {
 	t.Run("write-buffered", func(t *testing.T) {
 		ds := buildPointReadDataset(t, storage.NewMemory(), rows)
 		appendPointReadRows(t, ds, rows, rows+40)
-		for _, name := range []string{"scalars", "mixed", "images", "links"} {
+		for _, name := range pointReadTensors {
 			if ds.Tensor(name).builder.Len() == 0 {
 				t.Fatalf("%s: appended rows were not left in the write buffer", name)
 			}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"repro/internal/chunk"
+	"repro/internal/encoder"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 )
@@ -20,10 +23,8 @@ type ChunkSpan struct {
 // ChunkSpans returns the tensor's chunk-aligned partition of its sample
 // range, in index order. An empty tensor returns no spans.
 func (t *Tensor) ChunkSpans() []ChunkSpan {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.rlock()
+	defer t.runlock()
 	n := t.chunkEnc.NumChunks()
 	out := make([]ChunkSpan, 0, n)
 	for r := 0; r < n; r++ {
@@ -43,19 +44,33 @@ func (t *Tensor) ChunkSpans() []ChunkSpan {
 // to the tensor's read path.
 type ChunkFetch func(ctx context.Context, chunkID uint64) ([]chunk.Sample, error)
 
-// ScanReader reads samples of one tensor with chunk-granular reuse: walking
-// rows in ascending order fetches and decodes each chunk once instead of
-// once per sample. Without a ChunkFetch the fetch goes through the provider
-// chain, so concurrent readers pulling the same chunk still coalesce into
-// one origin Get. A ScanReader is NOT safe for concurrent use; each scan or
-// loader worker owns one per tensor.
+// ScanReader is the tensor's one read path: Tensor.At and its siblings are
+// one-shot reader calls, and TQL and dataloader workers keep one reader per
+// tensor. It serves write-buffered rows from the pending buffer, flat
+// samples through a one-chunk slot, tiled samples by assembling their tile
+// chunks through the same slot, and sequence rows item by item.
+//
+// Without a ChunkFetch, the first row served from a chunk is cut out of the
+// fetched, verified blob by chunk.SampleAt, so a point read costs O(one
+// sample); a second row from that chunk decodes its directory once into a
+// reused slice. The reader holds the tensor's read locks for a whole call,
+// so each read is one consistent snapshot. A ChunkFetch (the dataloader's
+// cache) fills the slot with decoded samples and runs outside the locks, so
+// it may re-enter tensor read methods. A ScanReader is NOT safe for
+// concurrent use.
 type ScanReader struct {
-	t       *Tensor
-	fetch   ChunkFetch
-	arena   *chunk.Arena
+	t     *Tensor
+	fetch ChunkFetch
+	arena *chunk.Arena
+
+	// The chunk slot. Until decoded, only blob (the verified chunk) is
+	// set; dir is the reused backing array of the reader's own decodes.
 	valid   bool
+	decoded bool
 	chunkID uint64
+	blob    []byte
 	samples []chunk.Sample
+	dir     []chunk.Sample
 }
 
 // NewScanReader returns a reader with an empty chunk slot whose fetches use
@@ -77,78 +92,189 @@ func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 // heap allocation.
 func (r *ScanReader) SetArena(a *chunk.Arena) { r.arena = a }
 
-// locate resolves idx to chunk coordinates under the read locks, reporting
-// fallback=true for samples the chunk-granular path cannot serve: sequence
-// rows, tiled samples, and rows still in the write buffer.
-func (r *ScanReader) locate(idx uint64) (chunkID uint64, local int, fallback bool, err error) {
-	t := r.t
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.spec.Sequence {
-		return 0, 0, true, nil
-	}
-	if _, tiled := t.tileEnc.Get(idx); tiled {
-		return 0, 0, true, nil
-	}
-	chunkID, local, err = t.chunkEnc.Lookup(idx)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if t.builder.Len() > 0 && chunkID == t.pendingID {
-		return 0, 0, true, nil
-	}
-	return chunkID, local, false, nil
-}
-
-// StoredAt returns the stored (still media-encoded) sample idx, decoding the
-// containing chunk once and reusing it across calls. ok=false means the
-// sample needs the tensor's direct read path (sequences, tiles,
-// write-buffered rows); callers fall back to Tensor.At or RawAt. The chunk
-// load itself runs outside the tensor locks, so a ChunkFetch may re-enter
-// tensor read methods (the dataloader's cache calls ReadChunkSamples).
-func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, bool, error) {
-	chunkID, local, fallback, err := r.locate(idx)
-	if err != nil {
-		return chunk.Sample{}, false, err
-	}
-	if fallback {
-		return chunk.Sample{}, false, nil
-	}
-	if !r.valid || r.chunkID != chunkID {
-		var samples []chunk.Sample
-		if r.fetch != nil {
-			samples, err = r.fetch(ctx, chunkID)
-		} else {
-			samples, err = r.t.ReadChunkSamples(ctx, chunkID)
-		}
-		if err != nil {
-			return chunk.Sample{}, false, err
-		}
-		r.chunkID, r.samples, r.valid = chunkID, samples, true
-	}
-	if local >= len(r.samples) {
-		// Tiled samples register under their first tile chunk; the direct
-		// read path reassembles them.
-		return chunk.Sample{}, false, nil
-	}
-	return r.samples[local], true, nil
-}
-
-// At returns sample idx like Tensor.At, but keeps the decoded chunk of the
-// previous call so sequential reads within one chunk pay a single
-// fetch+decode. Sequence, tiled and write-buffered samples fall back to the
-// direct per-sample path.
+// At returns row idx as an array: decoded through the reader's arena,
+// assembled from its tiles, or, for a sequence row, its items stacked.
 func (r *ScanReader) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
-	s, ok, err := r.StoredAt(ctx, idx)
+	if r.fetch == nil {
+		r.t.rlock()
+		defer r.t.runlock()
+	}
+	if !r.t.spec.Sequence {
+		return r.item(ctx, idx)
+	}
+	items, err := r.sequence(ctx, idx)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return r.t.At(ctx, idx)
+	return tensor.Stack(items)
+}
+
+// StoredAt returns the stored (still media-encoded) bytes and logical shape
+// of row idx. A tiled sample comes back assembled; a sequence row comes back
+// as its items' stored bytes back to back, with the items' shared shape
+// behind a leading item count. Data may alias the reader's chunk slot:
+// copy it to keep it.
+func (r *ScanReader) StoredAt(ctx context.Context, idx uint64) (chunk.Sample, error) {
+	if r.fetch == nil {
+		r.t.rlock()
+		defer r.t.runlock()
 	}
-	return r.t.decodeSampleArena(s, r.arena)
+	if !r.t.spec.Sequence {
+		return r.flat(ctx, idx)
+	}
+	start, end, err := r.itemRange(idx)
+	if err != nil {
+		return chunk.Sample{}, err
+	}
+	out := chunk.Sample{Shape: []int{int(end - start)}}
+	for i := start; i < end; i++ {
+		s, err := r.flat(ctx, i)
+		if err != nil {
+			return chunk.Sample{}, err
+		}
+		if i == start {
+			out.Shape = append(out.Shape, s.Shape...)
+		} else if !slices.Equal(s.Shape, out.Shape[1:]) {
+			return chunk.Sample{}, fmt.Errorf("core: sequence row %d mixes item shapes %v and %v", idx, out.Shape[1:], s.Shape)
+		}
+		out.Data = append(out.Data, s.Data...)
+	}
+	return out, nil
+}
+
+// The methods below run inside one reader call. Without a ChunkFetch the
+// caller holds the tensor's read locks for the whole call; with one, lock
+// and unlock bracket each resolve step so fetches run unlocked.
+func (r *ScanReader) lock() {
+	if r.fetch != nil {
+		r.t.rlock()
+	}
+}
+
+func (r *ScanReader) unlock() {
+	if r.fetch != nil {
+		r.t.runlock()
+	}
+}
+
+// itemRange resolves sequence row idx to its flat item range.
+func (r *ScanReader) itemRange(idx uint64) (start, end uint64, err error) {
+	r.lock()
+	defer r.unlock()
+	return r.t.seqEnc.RowRange(int(idx))
+}
+
+// sequence returns the decoded items of sequence row idx.
+func (r *ScanReader) sequence(ctx context.Context, idx uint64) ([]*tensor.NDArray, error) {
+	start, end, err := r.itemRange(idx)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]*tensor.NDArray, 0, end-start)
+	for i := start; i < end; i++ {
+		item, err := r.item(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item)
+	}
+	return items, nil
+}
+
+// item returns flat sample i (a sequence item, or a row of any other
+// tensor) as an array.
+func (r *ScanReader) item(ctx context.Context, i uint64) (*tensor.NDArray, error) {
+	s, err := r.flat(ctx, i)
+	if err != nil {
+		return nil, err
+	}
+	return r.t.decodeSample(s, r.arena)
+}
+
+// flat returns the stored sample of flat sample i: from the pending write
+// buffer, from its chunk through the slot, or assembled from its tiles,
+// which hold raw bytes.
+func (r *ScanReader) flat(ctx context.Context, i uint64) (chunk.Sample, error) {
+	t := r.t
+	r.lock()
+	entry, tiled := t.tileEnc.Get(i)
+	chunkID, local, err := t.chunkEnc.Lookup(i)
+	var s chunk.Sample
+	buffered := err == nil && !tiled && t.builder.Len() > 0 && chunkID == t.pendingID
+	if buffered && local >= len(t.pendingSamples) {
+		err = fmt.Errorf("core: pending sample %d out of range", local)
+	} else if buffered {
+		s = t.pendingSamples[local]
+	}
+	r.unlock()
+	switch {
+	case err != nil || buffered:
+		return s, err
+	case tiled:
+		arr, err := r.tiled(ctx, entry, nil)
+		if err != nil {
+			return chunk.Sample{}, err
+		}
+		return chunk.Sample{Shape: arr.Shape(), Data: arr.Bytes()}, nil
+	}
+	return r.chunkSample(ctx, chunkID, local)
+}
+
+// tiled assembles a tiled sample from the tiles overlapping region (nil =
+// the whole sample), reading each tile chunk through the slot.
+func (r *ScanReader) tiled(ctx context.Context, entry encoder.TileEntry, region []tensor.Range) (*tensor.NDArray, error) {
+	needed := entry.Layout.TilesOverlapping(region)
+	tiles := make(map[int]*tensor.NDArray, len(needed))
+	for _, ti := range needed {
+		s, err := r.chunkSample(ctx, entry.ChunkIDs[ti], 0)
+		if err != nil {
+			return nil, err
+		}
+		// Tiles are assembly scratch, never handed out: keep them off
+		// the arena.
+		arr, err := r.t.decodeSample(s, nil)
+		if err != nil {
+			return nil, err
+		}
+		tiles[ti] = arr
+	}
+	return entry.Layout.Assemble(r.t.Dtype(), tiles, region)
+}
+
+// chunkSample returns sample local of a stored chunk through the slot,
+// loading the chunk when the slot holds another one.
+func (r *ScanReader) chunkSample(ctx context.Context, chunkID uint64, local int) (chunk.Sample, error) {
+	var err error
+	switch {
+	case r.valid && r.chunkID == chunkID && r.decoded:
+	case r.valid && r.chunkID == chunkID:
+		// A second row from this chunk: decode its directory once.
+		if r.dir, err = chunk.DecodeAppend(r.blob, r.dir); err != nil {
+			err = fmt.Errorf("core: chunk %d of %q: %w", chunkID, r.t.name, err)
+		}
+		r.samples, r.decoded = r.dir, true
+	case r.fetch != nil:
+		r.samples, err = r.fetch(ctx, chunkID)
+		r.blob, r.decoded = nil, true
+	default:
+		r.blob, err = r.t.readChunk(ctx, chunkID)
+		r.decoded = false
+	}
+	r.chunkID, r.valid = chunkID, err == nil
+	if err != nil {
+		return chunk.Sample{}, err
+	}
+	if !r.decoded {
+		s, err := chunk.SampleAt(r.blob, local)
+		if err != nil {
+			return chunk.Sample{}, fmt.Errorf("core: sample %d of chunk %d: %w", local, chunkID, err)
+		}
+		return s, nil
+	}
+	if local >= len(r.samples) {
+		return chunk.Sample{}, fmt.Errorf("core: sample %d of chunk %d: chunk holds %d samples", local, chunkID, len(r.samples))
+	}
+	return r.samples[local], nil
 }
 
 // PrefetchChunks resolves the given chunk ids to storage keys and hands them
@@ -166,8 +292,7 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64, opts storage.
 	if !ok || len(ids) == 0 {
 		return 0, nil
 	}
-	t.ds.mu.RLock()
-	t.mu.RLock()
+	t.rlock()
 	if opts.SizeHint <= 0 {
 		// Chunk objects are ~effective-target bytes; the planner sizes
 		// whole-object requests it cannot stat with this.
@@ -190,8 +315,7 @@ func (t *Tensor) PrefetchChunks(ctx context.Context, ids []uint64, opts storage.
 		}
 		keys = append(keys, key)
 	}
-	t.mu.RUnlock()
-	t.ds.mu.RUnlock()
+	t.runlock()
 	if len(keys) == 0 {
 		return 0, nil
 	}

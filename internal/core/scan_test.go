@@ -52,12 +52,9 @@ func TestScanReaderFetchHook(t *testing.T) {
 		return x.ReadChunkSamples(ctx, chunkID)
 	})
 	for i := uint64(0); i < n; i++ {
-		s, ok, err := r.StoredAt(ctx, i)
+		s, err := r.StoredAt(ctx, i)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("row %d took the fallback path on a plain flushed tensor", i)
 		}
 		arr, err := x.DecodeStored(s.Data, s.Shape)
 		if err != nil {
@@ -99,10 +96,10 @@ func TestScanReaderAtMatchesTensorAt(t *testing.T) {
 	}
 }
 
-// TestScanReaderFallsBackForWriteBufferedRows: rows still in the chunk
-// builder are not served from sealed chunks; StoredAt reports the fallback
-// and ScanReader.At transparently reads them through Tensor.At.
-func TestScanReaderFallsBackForWriteBufferedRows(t *testing.T) {
+// TestScanReaderServesWriteBufferedRows: rows still in the chunk builder
+// are served from the pending buffer by the reader itself, through StoredAt
+// and At, without a fetch through the reader's chunk source.
+func TestScanReaderServesWriteBufferedRows(t *testing.T) {
 	ctx := context.Background()
 	ds, err := Create(ctx, storage.NewMemory(), "pending")
 	if err != nil {
@@ -119,15 +116,29 @@ func TestScanReaderFallsBackForWriteBufferedRows(t *testing.T) {
 		}
 	}
 	// No flush: every row is write-buffered.
-	r := x.NewScanReader()
-	if _, ok, err := r.StoredAt(ctx, 3); err != nil || ok {
-		t.Fatalf("StoredAt on a buffered row: ok=%v err=%v, want fallback", ok, err)
-	}
-	arr, err := r.At(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := arr.At(0); v != 3 {
-		t.Fatalf("buffered row read %v", v)
+	for name, r := range map[string]*ScanReader{
+		"direct": x.NewScanReader(),
+		"hooked": x.NewScanReaderWith(func(context.Context, uint64) ([]chunk.Sample, error) {
+			t.Fatal("a write-buffered row went to the chunk source")
+			return nil, nil
+		}),
+	} {
+		s, err := r.StoredAt(ctx, 3)
+		if err != nil {
+			t.Fatalf("%s: StoredAt on a buffered row: %v", name, err)
+		}
+		stored, err := x.DecodeStored(s.Data, s.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr, err := r.At(ctx, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*tensor.NDArray{stored, arr} {
+			if v, _ := got.At(0); v != 3 {
+				t.Fatalf("%s: buffered row read %v, want 3", name, v)
+			}
+		}
 	}
 }

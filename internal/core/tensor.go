@@ -289,10 +289,8 @@ func (t *Tensor) Name() string { return t.name }
 // ScopeID) as their key. A chunk not yet resolved to a version — a pending
 // chunk still in the writer — is attributed to the current head.
 func (t *Tensor) ChunkIdentity(chunkID uint64) string {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.rlock()
+	defer t.runlock()
 	vid, ok := t.chunkVersion[chunkID]
 	if !ok {
 		vid = t.ds.head
@@ -307,12 +305,21 @@ func (t *Tensor) ChunkIdentity(chunkID uint64) string {
 	return key
 }
 
+// rlock takes the dataset's and the tensor's read locks, in that order.
+func (t *Tensor) rlock() {
+	t.ds.mu.RLock()
+	t.mu.RLock()
+}
+
+func (t *Tensor) runlock() {
+	t.mu.RUnlock()
+	t.ds.mu.RUnlock()
+}
+
 // Meta returns a copy of the tensor metadata.
 func (t *Tensor) Meta() TensorMeta {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.rlock()
+	defer t.runlock()
 	return t.meta
 }
 
@@ -343,19 +350,15 @@ func (t *Tensor) lengthShared() uint64 {
 // Observability for ingest tooling; the schedule itself persists in the
 // tensor metadata so reopened writers resume it.
 func (t *Tensor) EffectiveBounds() chunk.Bounds {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.rlock()
+	defer t.runlock()
 	return t.builder.EffectiveBounds()
 }
 
 // NumChunks returns the number of chunks indexed by the chunk encoder.
 func (t *Tensor) NumChunks() int {
-	t.ds.mu.RLock()
-	defer t.ds.mu.RUnlock()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.rlock()
+	defer t.runlock()
 	return t.chunkEnc.NumChunks()
 }
 

@@ -71,7 +71,7 @@ func (t *Tensor) replaceStored(ctx context.Context, idx uint64, s chunk.Sample) 
 	note := dc.note
 	if _, tiled := t.tileEnc.Get(idx); tiled {
 		// Replacing a tiled sample re-tiles it from scratch.
-		arr, err := t.decodeSample(s)
+		arr, err := t.decodeSample(s, nil)
 		if err != nil {
 			return err
 		}
@@ -233,6 +233,9 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 		return err
 	}
 	total := t.chunkEnc.NumSamples()
+	// The rechunk holds the write lock, so its reader runs lock-free and
+	// decodes each source chunk once.
+	r := ScanReader{t: t}
 	var (
 		newIDs    []uint64
 		newCounts []int
@@ -266,7 +269,7 @@ func (t *Tensor) Rechunk(ctx context.Context) error {
 			newCounts = append(newCounts, 1)
 			continue
 		}
-		s, err := t.storedSample(ctx, idx)
+		s, err := r.flat(ctx, idx)
 		if err != nil {
 			return err
 		}

@@ -306,3 +306,49 @@ func TestCancelMidIngestReopenable(t *testing.T) {
 		t.Fatalf("flush after reopen: %v", err)
 	}
 }
+
+// TestSliceServesInFlightChunk: a first-axis Slice of a sample whose chunk
+// is still uploading is served from the flush pipeline's in-flight bytes,
+// as At is, instead of range-reading a key storage does not hold yet.
+func TestSliceServesInFlightChunk(t *testing.T) {
+	ctx := context.Background()
+	gs := &gatedStore{Provider: storage.NewMemory(), release: make(chan struct{}), signal: make(chan struct{}, 1)}
+	ds, err := Create(ctx, gs, "inflight-slice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int64, ChunkCompression: "none", Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetWriteOptions(WriteOptions{FlushWorkers: 2, MaxPending: 4}); err != nil {
+		t.Fatal(err)
+	}
+	gs.mu.Lock()
+	gs.gated = true
+	gs.mu.Unlock()
+	for i := 0; x.NumChunks() < 2; i++ {
+		arr, _ := tensor.FromFloat64s(tensor.Int64, []int{4}, []float64{float64(i), 1, 2, 3})
+		if err := x.Append(ctx, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-gs.signal // row 0's chunk is sealed and its upload is on the wire
+
+	got, err := x.Slice(ctx, 0, []tensor.Range{{Start: 0, Stop: 2}})
+	if err != nil {
+		t.Fatalf("Slice of a row in an uploading chunk: %v", err)
+	}
+	whole, err := x.At(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := whole.Slice(tensor.Range{Start: 0, Stop: 2})
+	if !got.Equal(want) {
+		t.Fatalf("Slice = %v, want %v", got.Float64s(), want.Float64s())
+	}
+	close(gs.release)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

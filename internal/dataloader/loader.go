@@ -388,7 +388,7 @@ func (l *Loader) Batches(ctx context.Context) <-chan Batch {
 				if !c.Stored() || c.Source == primary {
 					continue
 				}
-				if st := l.v.Dataset().Tensor(c.Source); st != nil && !st.Htype().Sequence && !st.Htype().Link {
+				if st := l.v.Dataset().Tensor(c.Source); st != nil {
 					secondaries = append(secondaries, st)
 				}
 			}
@@ -680,26 +680,15 @@ func (w *rowLoader) loadStored(ctx context.Context, tensorName string, src uint6
 	if t == nil {
 		return nil, fmt.Errorf("dataloader: unknown tensor %q", tensorName)
 	}
-	// Sequence/link samples take the tensor's own read path.
-	if t.Htype().Sequence || t.Htype().Link {
-		return t.At(ctx, src)
-	}
 	r := w.reader(t)
-	if w.l.opts.RawBytes {
-		s, ok, err := r.StoredAt(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// Tiled or write-buffered samples fall back to the tensor read
-			// path, which reassembles them.
-			return t.At(ctx, src)
-		}
-		return tensor.FromBytes(tensor.UInt8, []int{len(s.Data)}, w.arena.Copy(s.Data))
+	if !w.l.opts.RawBytes {
+		return r.At(ctx, src)
 	}
-	// At decodes through the reader's arena and falls back to the tensor
-	// read path for tiled or write-buffered samples itself.
-	return r.At(ctx, src)
+	s, err := r.StoredAt(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromBytes(tensor.UInt8, []int{len(s.Data)}, w.arena.Copy(s.Data))
 }
 
 // collator assembles the Stacked side of batches for one pipeline. The

@@ -20,14 +20,14 @@ import (
 
 // readaheadDriver resolves the tensor whose chunks the scheduler
 // prefetches. It returns nil when no column drives chunked reads
-// (computed-only views, sequence/link primaries, no chunk-aligned groups),
-// in which case readahead is a no-op.
+// (computed-only views, no chunk-aligned groups), in which case readahead
+// is a no-op.
 func readaheadDriver(v *view.View, primary string, groups []groupRef) *core.Tensor {
 	if primary == "" {
 		return nil
 	}
 	t := v.Dataset().Tensor(primary)
-	if t == nil || t.Htype().Sequence || t.Htype().Link {
+	if t == nil {
 		return nil
 	}
 	for _, g := range groups {

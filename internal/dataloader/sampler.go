@@ -24,8 +24,8 @@ import (
 // the consumer receives.
 
 // noChunk marks a chunk job with no stored primary chunk (computed-only
-// views, sequence/link primaries): the job is a degenerate single-row group
-// and the readahead scheduler skips it.
+// views, rows still in the write buffer): the job is a degenerate
+// single-row group and the readahead scheduler skips it.
 const noChunk = ^uint64(0)
 
 // oversubscribe controls how many jobs each worker gets on average: large
@@ -92,9 +92,6 @@ type groupRef struct {
 // groups. Rows without a stored primary chunk become per-row groups.
 func chunkGroups(v *view.View, primary string) []groupRef {
 	t := v.Dataset().Tensor(primary)
-	if t != nil && (t.Htype().Sequence || t.Htype().Link) {
-		t = nil
-	}
 	n := v.Len()
 	idx := map[uint64]int{}
 	var groups []groupRef

@@ -1,6 +1,7 @@
 package encoder
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -412,5 +413,52 @@ func TestChunkEncoderAppendScales(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("50k appends took %s; append is not O(1)", elapsed)
+	}
+}
+
+// TestTileEncoderRejectsUnwalkableEntries: a stored tile encoder is read
+// unverified, so UnmarshalBinary must refuse every entry Set refuses —
+// entries whose tiles a reader cannot walk without indexing out of range.
+func TestTileEncoderRejectsUnwalkableEntries(t *testing.T) {
+	good := chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{4, 4}, Grid: []int{2, 2}}
+	for name, entry := range map[string]TileEntry{
+		"fewer chunk ids":   {Layout: good, ChunkIDs: []uint64{1, 2, 3}},
+		"more chunk ids":    {Layout: good, ChunkIDs: []uint64{1, 2, 3, 4, 5}},
+		"tile rank":         {Layout: chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{4}, Grid: []int{2, 2}}, ChunkIDs: []uint64{1, 2, 3, 4}},
+		"grid rank":         {Layout: chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{4, 4}, Grid: []int{4}}, ChunkIDs: []uint64{1, 2, 3, 4}},
+		"grid not ceil":     {Layout: chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{4, 4}, Grid: []int{4, 1}}, ChunkIDs: []uint64{1, 2, 3, 4}},
+		"zero tile":         {Layout: chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{0, 4}, Grid: []int{1, 2}}, ChunkIDs: []uint64{1, 2}},
+		"tile over sample":  {Layout: chunk.TileLayout{SampleShape: []int{8, 6}, TileShape: []int{16, 4}, Grid: []int{1, 2}}, ChunkIDs: []uint64{1, 2}},
+		"negative sample":   {Layout: chunk.TileLayout{SampleShape: []int{-8, 6}, TileShape: []int{4, 4}, Grid: []int{1, 2}}, ChunkIDs: []uint64{1, 2}},
+		"grid overflow":     {Layout: chunk.TileLayout{SampleShape: []int{1 << 40, 1 << 40}, TileShape: []int{1, 1}, Grid: []int{1 << 40, 1 << 40}}, ChunkIDs: []uint64{1}},
+		"no layout":         {ChunkIDs: []uint64{1, 2}},
+		"negative tile dim": {Layout: chunk.TileLayout{SampleShape: []int{0, 6}, TileShape: []int{-1, 3}, Grid: []int{1, 2}}, ChunkIDs: []uint64{1, 2}},
+	} {
+		if err := NewTileEncoder().Set(0, entry); err == nil {
+			t.Errorf("%s: Set accepted %+v", name, entry)
+		}
+		blob, err := json.Marshal(map[string]TileEntry{"3": entry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e TileEncoder
+		if err := e.UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: UnmarshalBinary accepted %s", name, blob)
+		}
+	}
+	// Layouts PlanTiles produces still load, including an empty axis.
+	for _, shape := range [][]int{{48, 48}, {0, 9}, {5, 7, 3}} {
+		layout, err := chunk.PlanTiles(shape, 1, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := NewTileEncoder()
+		if err := enc.Set(1, TileEntry{Layout: layout, ChunkIDs: make([]uint64, layout.NumTiles())}); err != nil {
+			t.Fatalf("Set(%v): %v", layout, err)
+		}
+		blob, _ := enc.MarshalBinary()
+		if err := new(TileEncoder).UnmarshalBinary(blob); err != nil {
+			t.Fatalf("UnmarshalBinary of a planned layout %v: %v", layout, err)
+		}
 	}
 }

@@ -29,10 +29,49 @@ func NewTileEncoder() *TileEncoder {
 
 // Set registers the tiling of sample idx.
 func (e *TileEncoder) Set(idx uint64, entry TileEntry) error {
-	if got, want := len(entry.ChunkIDs), entry.Layout.NumTiles(); got != want {
-		return fmt.Errorf("encoder: %d chunk ids for %d tiles", got, want)
+	if err := entry.check(); err != nil {
+		return err
 	}
 	e.entries[idx] = entry
+	return nil
+}
+
+// check accepts exactly the layouts chunk.PlanTiles produces, so readers
+// can walk every tile: tile and grid ranks equal the sample's, each tile
+// axis is non-empty and no longer than the sample's (both zero only for an
+// empty axis), each grid axis holds ceil(sample/tile) tiles, and there is
+// one chunk id per tile.
+func (entry TileEntry) check() error {
+	l := entry.Layout
+	nd := len(l.SampleShape)
+	if len(l.TileShape) != nd || len(l.Grid) != nd {
+		return fmt.Errorf("encoder: tile layout ranks differ: sample %v, tile %v, grid %v", l.SampleShape, l.TileShape, l.Grid)
+	}
+	tiles := 1
+	for ax, n := range l.SampleShape {
+		tile, grid := l.TileShape[ax], l.Grid[ax]
+		if !(tile == 0 && n == 0 || 0 < tile && tile <= n) {
+			return fmt.Errorf("encoder: tile shape %v does not fit sample shape %v", l.TileShape, l.SampleShape)
+		}
+		want := 1
+		if n > 0 {
+			want = n / tile
+			if n%tile != 0 {
+				want++
+			}
+		}
+		if grid != want {
+			return fmt.Errorf("encoder: tile grid %v, want %d tiles on axis %d of sample %v", l.Grid, want, ax, l.SampleShape)
+		}
+		// tiles*grid <= len(ChunkIDs), checked without overflow.
+		if grid > len(entry.ChunkIDs)/tiles {
+			return fmt.Errorf("encoder: %d chunk ids for a tile grid %v", len(entry.ChunkIDs), l.Grid)
+		}
+		tiles *= grid
+	}
+	if tiles != len(entry.ChunkIDs) {
+		return fmt.Errorf("encoder: %d chunk ids for %d tiles", len(entry.ChunkIDs), tiles)
+	}
 	return nil
 }
 
@@ -68,20 +107,25 @@ func (e *TileEncoder) MarshalBinary() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// UnmarshalBinary restores a serialized encoder.
+// UnmarshalBinary restores a serialized encoder. Encoder blobs carry no
+// recorded digest, so every entry is held to the rules Set enforces.
 func (e *TileEncoder) UnmarshalBinary(data []byte) error {
 	var m map[string]TileEntry
 	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
-	e.entries = make(map[uint64]TileEntry, len(m))
+	entries := make(map[uint64]TileEntry, len(m))
 	for k, entry := range m {
 		var idx uint64
 		if _, err := fmt.Sscan(k, &idx); err != nil {
 			return fmt.Errorf("encoder: bad tile index %q", k)
 		}
-		e.entries[idx] = entry
+		if err := entry.check(); err != nil {
+			return fmt.Errorf("encoder: tile entry %d: %w", idx, err)
+		}
+		entries[idx] = entry
 	}
+	e.entries = entries
 	return nil
 }
 

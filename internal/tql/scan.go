@@ -378,7 +378,7 @@ func (sc *scanner) eval(ctx context.Context, rows []uint64, x Expr, stage string
 }
 
 func (sc *scanner) newWorkerEnv(ctx context.Context) *env {
-	e := newScanEnv(ctx, sc.ds)
+	e := newEnv(ctx, sc.ds, 0)
 	e.rawShapes = sc.rawShapes
 	return e
 }

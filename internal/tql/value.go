@@ -111,10 +111,10 @@ type env struct {
 	mu    sync.Mutex
 	cache map[string]*tensor.NDArray
 
-	// readers, when non-nil, serve data loads through per-tensor
-	// ScanReaders so consecutive rows of one chunk fetch and decode it
-	// once. Scan workers own one env each and reposition it with reset;
-	// per-call envs (view columns) leave readers nil.
+	// readers serve data loads through per-tensor ScanReaders, so
+	// consecutive rows of one chunk fetch and decode it once. Scan workers
+	// own one env each and reposition it with reset; per-call envs (view
+	// columns) read one row.
 	readers map[string]*core.ScanReader
 	// rawShapes resolves SHAPE/NDIM/LEN/SIZE from decoded sample data
 	// instead of the shape encoder (Options.DisablePushdown).
@@ -122,15 +122,10 @@ type env struct {
 }
 
 func newEnv(ctx context.Context, ds *core.Dataset, row uint64) *env {
-	return &env{ctx: ctx, ds: ds, row: row, cache: map[string]*tensor.NDArray{}}
-}
-
-// newScanEnv returns a reusable worker environment with chunk-granular read
-// reuse enabled; reset repositions it before each row.
-func newScanEnv(ctx context.Context, ds *core.Dataset) *env {
 	return &env{
 		ctx:     ctx,
 		ds:      ds,
+		row:     row,
 		cache:   map[string]*tensor.NDArray{},
 		readers: map[string]*core.ScanReader{},
 	}
@@ -157,31 +152,14 @@ func (e *env) lookupTensor(name string) (*tensor.NDArray, error) {
 	if t == nil {
 		return nil, fmt.Errorf("tql: unknown tensor %q", name)
 	}
-	var (
-		arr *tensor.NDArray
-		err error
-	)
-	if t.Htype().Link {
-		url, lerr := t.LinkAt(e.ctx, e.row)
-		if lerr != nil {
-			return nil, lerr
-		}
-		arr = tensor.FromString(url)
-	} else if e.readers != nil {
-		r := e.readers[name]
-		if r == nil {
-			r = t.NewScanReader()
-			e.readers[name] = r
-		}
-		arr, err = r.At(e.ctx, e.row)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		arr, err = t.At(e.ctx, e.row)
-		if err != nil {
-			return nil, err
-		}
+	r := e.readers[name]
+	if r == nil {
+		r = t.NewScanReader()
+		e.readers[name] = r
+	}
+	arr, err := r.At(e.ctx, e.row)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	e.cache[name] = arr
