@@ -98,7 +98,7 @@ func pixelsToImage(pixels []byte, height, width, channels int) (image.Image, err
 // DecoderInto is an optional SampleCodec extension: DecodeInto is Decode
 // with the flattened HWC pixel buffer obtained from alloc instead of the
 // heap, so a caller holding an arena can serve the per-sample decode
-// scratch from pooled slabs. The codec's internal decode state (the stdlib
+// scratch from its slabs. The codec's internal decode state (the stdlib
 // image decoders' planes) still lives wherever the codec puts it.
 type DecoderInto interface {
 	DecodeInto(data []byte, alloc func(int) []byte) (pixels []byte, height, width, channels int, err error)

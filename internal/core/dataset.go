@@ -653,14 +653,14 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := ds.store.Put(ctx, rootKey(gen), mustJSON(root)); err != nil {
+	if err := ds.publishPut(ctx, rootKey(gen), mustJSON(root)); err != nil {
 		return err
 	}
 	// The publish point: after this Put, generation gen is live.
-	if err := ds.store.Put(ctx, datasetMetaKey, mustJSON(meta)); err != nil {
+	if err := ds.publishPut(ctx, datasetMetaKey, mustJSON(meta)); err != nil {
 		return err
 	}
-	if err := ds.store.Put(ctx, versionTreeKey, rawTree); err != nil {
+	if err := ds.publishPut(ctx, versionTreeKey, rawTree); err != nil {
 		return err
 	}
 	ds.idMu.Lock()
@@ -670,9 +670,22 @@ func (ds *Dataset) persistRoot(ctx context.Context) error {
 	// crash-recovery target while the next publish is in flight); drop
 	// older ones best-effort.
 	if gen > 2 {
-		_ = ds.store.Delete(ctx, rootKey(gen-2))
+		delCtx, cancel := ds.flusher.attemptCtx(ctx)
+		_ = ds.store.Delete(delCtx, rootKey(gen-2))
+		cancel()
 	}
 	return nil
+}
+
+// publishPut writes one object of the root publish in order. With a flush
+// pipeline configured it gets the pipeline's attempt policy (UploadTimeout
+// per attempt, FlushRetries for retryable failures), so a hung store fails
+// the publish instead of blocking Flush or Commit forever.
+func (ds *Dataset) publishPut(ctx context.Context, key string, blob []byte) error {
+	if ds.flusher != nil {
+		return ds.flusher.putNow(ctx, key, blob)
+	}
+	return ds.store.Put(ctx, key, blob)
 }
 
 func (ds *Dataset) persistSchema(ctx context.Context) error {

@@ -301,10 +301,7 @@ func (p *flushPipeline) upload(key string) {
 		// Pipeline-owned context: the enqueuing caller's cancellation must
 		// not retroactively fail an acknowledged write. UploadTimeout (when
 		// set) keeps a black-holed Put from pinning this lane forever.
-		putCtx, cancel := context.Background(), func() {}
-		if p.putTimeout > 0 {
-			putCtx, cancel = context.WithTimeout(putCtx, p.putTimeout)
-		}
+		putCtx, cancel := p.attemptCtx(context.Background())
 		err := p.store.Put(putCtx, key, blob)
 		cancel()
 		if err != nil {
@@ -327,6 +324,39 @@ func (p *flushPipeline) upload(key string) {
 			return
 		}
 		p.mu.Unlock()
+	}
+}
+
+// attemptCtx bounds one store call by UploadTimeout, when set. A nil
+// pipeline (the synchronous write path) sets no bound.
+func (p *flushPipeline) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if p != nil && p.putTimeout > 0 {
+		return context.WithTimeout(ctx, p.putTimeout)
+	}
+	return ctx, func() {}
+}
+
+// putNow stores one object on the caller's context with the same attempt
+// policy as background uploads: each attempt is bounded by UploadTimeout,
+// and a retryable failure is re-attempted up to FlushRetries times under
+// FlushBackoff. The caller's own cancellation is never retried. The root
+// publish uses it for the objects it must write in order, which cannot go
+// through the pipeline's unordered uploads.
+func (p *flushPipeline) putNow(ctx context.Context, key string, blob []byte) error {
+	for attempt := 1; ; attempt++ {
+		putCtx, cancel := p.attemptCtx(ctx)
+		err := p.store.Put(putCtx, key, blob)
+		cancel()
+		if err == nil || ctx.Err() != nil || attempt > p.autoRetries || !retryableUpload(err) {
+			return err
+		}
+		t := time.NewTimer(p.backoff.Delay(attempt))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		}
 	}
 }
 

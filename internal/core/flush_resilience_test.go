@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,6 +200,88 @@ func TestFlushUploadTimeoutParksStalledPuts(t *testing.T) {
 	}
 	if got := reopened.Tensor("x").Len(); got != rows {
 		t.Fatalf("%d/%d rows durable after stalled uploads", got, rows)
+	}
+}
+
+// stallRoots is a store whose Puts of root snapshots block until their
+// context ends while stalled is set; every other call passes through.
+type stallRoots struct {
+	storage.Provider
+	stalled atomic.Bool
+	stalls  atomic.Int64
+}
+
+func (s *stallRoots) Put(ctx context.Context, key string, data []byte) error {
+	if s.stalled.Load() && strings.HasPrefix(key, rootsPrefix) {
+		s.stalls.Add(1)
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return s.Provider.Put(ctx, key, data)
+}
+
+// TestFlushUploadTimeoutBoundsRootPublish: the root publish Puts get the
+// pipeline's attempt policy. A store that black-holes only root snapshots
+// fails Flush after 1+FlushRetries attempts of UploadTimeout each, instead
+// of blocking it forever; the publish order holds (no dataset.json points
+// at the unwritten root, so a reopen sees the previous generation), and a
+// Flush after the store recovers publishes everything.
+func TestFlushUploadTimeoutBoundsRootPublish(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemory()
+	store := &stallRoots{Provider: mem}
+	ds, err := Create(ctx, store, "publish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retries = 2
+	if err := ds.SetWriteOptions(WriteOptions{
+		FlushWorkers: 2, UploadTimeout: 20 * time.Millisecond, FlushRetries: retries,
+		FlushBackoff: storage.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ds.CreateTensor(ctx, TensorSpec{Name: "x", Dtype: tensor.Int64, Bounds: smallBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, tr, 10)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	store.stalled.Store(true)
+	appendRows(t, tr, 5)
+	done := make(chan error, 1)
+	go func() { done <- ds.Flush(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Flush against a stalled root Put = %v, want the upload timeout", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Flush still blocked on a stalled root Put after 3s")
+	}
+	if got := store.stalls.Load(); got != 1+retries {
+		t.Fatalf("root Put attempted %d times, want %d", got, 1+retries)
+	}
+	reopened, err := Open(ctx, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Tensor("x").Len(); got != 10 {
+		t.Fatalf("reopen after the failed publish sees %d rows, want the previous generation's 10", got)
+	}
+
+	store.stalled.Store(false)
+	if err := ds.Flush(ctx); err != nil {
+		t.Fatalf("Flush after the store recovered: %v", err)
+	}
+	if reopened, err = Open(ctx, mem); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Tensor("x").Len(); got != 15 {
+		t.Fatalf("%d/15 rows durable after the recovered Flush", got)
 	}
 }
 

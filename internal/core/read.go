@@ -28,7 +28,7 @@ func (t *Tensor) At(ctx context.Context, idx uint64) (*tensor.NDArray, error) {
 // decodeSample turns a stored sample into an array, drawing the
 // raw-payload copy from an arena (nil falls back to the heap): the
 // per-sample make+copy the hot scan path would otherwise pay becomes a bump
-// allocation in a pooled slab. Media decodes draw their flattened HWC pixel
+// allocation in the arena's slab. Media decodes draw their flattened HWC pixel
 // buffer from the arena too when the codec supports DecodeInto; only the
 // codec's internal decode state still allocates where the codec puts it.
 func (t *Tensor) decodeSample(s chunk.Sample, a *chunk.Arena) (*tensor.NDArray, error) {

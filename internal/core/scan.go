@@ -85,7 +85,7 @@ func (t *Tensor) NewScanReaderWith(fetch ChunkFetch) *ScanReader {
 }
 
 // SetArena installs a buffer arena for At's sample decodes: raw payload
-// copies bump-allocate from pooled slabs instead of the heap, taking the
+// copies bump-allocate from the arena's slab instead of the heap, taking the
 // steady-state scan loop to near-zero allocations per sample. The caller
 // owns the arena's lifecycle — Reset it only once every array decoded
 // through this reader is dead (see chunk.Arena). A nil arena restores plain

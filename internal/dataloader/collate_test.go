@@ -95,7 +95,7 @@ func TestCollateArenaMatchesHeapStack(t *testing.T) {
 // collation path: steady-state batch assembly must cost measurably fewer
 // heap allocations than one fresh backing array per column per batch (the
 // legacy tensor.Stack path), because the stacked bytes bump-allocate into
-// pooled slabs shared across batches.
+// slabs shared across batches.
 func TestCollateArenaCutsAllocs(t *testing.T) {
 	const cols = 6
 	widths := map[string]int{"c0": 64, "c1": 64, "c2": 64, "c3": 64, "c4": 64, "c5": 64}

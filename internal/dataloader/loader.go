@@ -17,7 +17,8 @@
 // rank no matter how many rows, columns or workers touch it — concurrent
 // fetches of the same chunk coalesce through a singleflight layer — and a
 // readahead scheduler walks the visit order a few chunks ahead of the
-// workers so fetch latency overlaps with decode. Media decoding runs inside
+// workers, with double-buffered fetch strips in flight ahead of it, so
+// fetch latency overlaps with decode. Media decoding runs inside
 // the worker pool (the Go analogue of the paper's per-process C++ decode
 // that avoids the Python GIL). Because the delivery order is fixed before
 // any worker starts, the batch stream is byte-identical for a given seed at
@@ -79,18 +80,25 @@ type Options struct {
 	// MemoryBudget caps the chunk buffer cache in bytes (default 256MB).
 	// This is the loader's "efficient resource allocation" bound (§4.6).
 	MemoryBudget int64
-	// Readahead is how many chunks the prefetch scheduler stays ahead of
-	// the workers along the chunk visit order (default 4). Negative
-	// disables readahead. Prefetches coalesce with worker fetches through
-	// the chunk cache's singleflight layer, so no chunk is read twice.
+	// Readahead is how many chunks the prefetch scheduler decodes ahead
+	// of the workers along the chunk visit order (default 4). Negative
+	// disables readahead, and with it the fetch strips. Prefetches
+	// coalesce with worker fetches through the chunk cache's singleflight
+	// layer, so no chunk is read twice. The origin requests run further
+	// ahead than this window: see FetchBatch.
 	Readahead int
-	// FetchBatch is how many upcoming chunks the readahead scheduler hands
-	// to the storage layer's fetch planner at a time: near-adjacent chunk
-	// objects in the strip coalesce into single batched ranged origin
-	// requests (default 8). Requires a prefetch-capable provider chain (a
-	// storage.LRU over a BatchProvider); otherwise it is a no-op. Negative
-	// disables batched prefetch, keeping the one-request-per-chunk
-	// behavior.
+	// FetchBatch is the maximum width, in chunks, of a fetch strip: a run
+	// of upcoming chunks the readahead scheduler hands to the storage
+	// layer's fetch planner at once, so near-adjacent chunk objects
+	// coalesce into single batched ranged origin requests (default 8).
+	// Strips are double-buffered — the next strip is already in flight
+	// while the workers drain the current one — so when the dataset's
+	// store reports a byte capacity (storage.LRU does) a strip is narrowed
+	// to half of it, divided by the tensor's chunk target, and two strips
+	// always fit in the raw cache. Requires a prefetch-capable provider
+	// chain (a storage.LRU over a BatchProvider); otherwise it is a no-op.
+	// Negative disables batched prefetch, keeping the
+	// one-request-per-chunk behavior.
 	FetchBatch int
 	// RawBytes controls media decoding of sample-compressed tensors.
 	// When true, raw stored bytes are exposed as 1-d uint8 arrays
@@ -621,10 +629,11 @@ type rowLoader struct {
 	l       *Loader
 	cols    []view.Column
 	readers map[string]*core.ScanReader
-	// arena serves the worker's sample decode copies from pooled slabs.
+	// arena serves the worker's sample decode copies from 256KB slabs.
 	// The decoded arrays escape into user batches, so the arena is never
 	// Reset — it amortizes allocation (few large slabs instead of one heap
-	// allocation per sample), it does not recycle memory.
+	// allocation per sample), it does not recycle memory. It drops each
+	// slab it fills, so a slab is freed with the last batch that uses it.
 	arena *chunk.Arena
 }
 
@@ -695,9 +704,10 @@ func (w *rowLoader) loadStored(ctx context.Context, tensorName string, src uint6
 // stacked columns' backing bytes are drawn from a per-pipeline arena
 // instead of a fresh heap array per column per batch: stacked arrays escape
 // into user batches, so the arena is never Reset — like the rowLoader's
-// decode arena it amortizes allocation into pooled 256KB slabs rather than
-// recycling memory. One collator is owned by the single reorder/emit
-// goroutine, so it needs no locking.
+// decode arena it amortizes allocation into 256KB slabs rather than
+// recycling memory, and a filled slab is freed with the batches that use
+// it. One collator is owned by the single reorder/emit goroutine, so it
+// needs no locking.
 type collator struct {
 	arena *chunk.Arena
 	// arrs is the reused per-column gather scratch.

@@ -282,7 +282,17 @@ func (c *Sharded[V]) Claim(key string) (finish func(V, error), ok bool) {
 	if _, resident := c.Peek(key); resident {
 		return nil, false
 	}
-	return c.flight.Lead(key)
+	if finish, ok = c.flight.Lead(key); !ok {
+		return nil, false
+	}
+	// A fill that completed between the peek and the lead has admitted the
+	// value already (fills admit before they release the key): re-check,
+	// as GetCoalesced's leader does, instead of fetching it a second time.
+	if v, resident := c.Peek(key); resident {
+		finish(v, nil)
+		return nil, false
+	}
+	return finish, true
 }
 
 // Stats reports the cache's counters and resident population: the total
